@@ -24,11 +24,9 @@
 //!                                       recorded pre→post speedup sits
 //!                                       below 1.10x. Entries whose
 //!                                       recorded pre_cycles_per_sec is 0
-//!                                       (unmeasured baseline, e.g.
-//!                                       parity-only shard entries on
-//!                                       1-core hosts) skip the speedup
-//!                                       floor with a note instead of
-//!                                       dividing by zero
+//!                                       (unmeasured baseline) skip the
+//!                                       speedup floor with a note instead
+//!                                       of dividing by zero
 //! bench_throughput --overhead-check     measure profiler-on vs -off on a
 //!                                       pinned case; fail (exit 1) when
 //!                                       the default observability stack
@@ -36,15 +34,6 @@
 //! bench_throughput --audit-overhead-check
 //!                                       same gate for the decision-audit
 //!                                       layer (--audit): at most 3%
-//! bench_throughput --shard-bench [--emit [BASE.json] | --check [FILE.json]]
-//!                                       single-run sharding suite: the
-//!                                       pinned full-scale case serial and
-//!                                       at --shards 4, against
-//!                                       BENCH_PR9.json. --check applies
-//!                                       the 20% no-regression floor to
-//!                                       both entries and, on hosts with
-//!                                       >= 8 cores, additionally requires
-//!                                       >= 1.5x cycles/sec at shards 4
 //! ```
 //!
 //! `CMPSIM_BENCH_NO_GATE=1` turns a `--check` or `--overhead-check`
@@ -221,100 +210,8 @@ fn suite() -> Vec<Measurement> {
     out
 }
 
-/// The pinned single-run sharding case: the paper-scale Figure 5 snarf
-/// point, short enough that serial + sharded fit a CI budget.
-const SHARD_CASE: Case = Case {
-    workload: Workload::Trade2,
-    policy: "snarf",
-    refs: 30_000,
-    scale: 1,
-};
-
-/// Runs one case with the frontend sharded onto `shards` producer
-/// threads — the exact path `cmpsim --shards N` takes.
-fn run_case_sharded(c: Case, shards: usize) -> (u64, u64) {
-    let cfg = config_for(c.scale, c.policy);
-    let params = c.workload.params(cfg.num_threads(), cfg.cache_scale());
-    let mut sys = if shards > 1 {
-        let generator =
-            cmpsim_trace::SyntheticWorkload::new(params, cfg.seed).expect("pinned case is valid");
-        let source = cmpsim_trace::ShardedWorkload::spawn_with_lookahead(
-            generator,
-            shards,
-            cmpsim_engine::shard::Lookahead::from_ring_hop(cfg.ring.hop_cycles),
-        );
-        System::with_source(cfg, Box::new(source)).expect("pinned case is valid")
-    } else {
-        System::new(cfg, params).expect("pinned case is valid")
-    };
-    let stats = sys.run(c.refs);
-    (stats.cycles, sys.events_processed())
-}
-
-fn host_cores() -> u64 {
-    std::thread::available_parallelism()
-        .map(|p| p.get() as u64)
-        .unwrap_or(1)
-}
-
-fn measure_sharded(id: &'static str, shards: usize) -> Measurement {
-    let t0 = Instant::now();
-    let (sim_cycles, events) = run_case_sharded(SHARD_CASE, shards);
-    Measurement {
-        id,
-        sim_cycles,
-        events,
-        wall_sec: t0.elapsed().as_secs_f64(),
-        peak_rss_kb: peak_rss_kb(),
-    }
-}
-
-fn shard_suite() -> Vec<Measurement> {
-    vec![
-        measure_sharded("full_trade2_snarf_serial", 1),
-        measure_sharded("full_trade2_snarf_shards4", 4),
-    ]
-}
-
-/// The sharding gate: both entries must clear the standard 20%
-/// no-regression floor against the committed file, and on hosts with at
-/// least 8 cores the shards-4 entry must additionally run at >= 1.5x
-/// the serial entry's cycles/sec measured in the same invocation. On
-/// smaller hosts the speedup clause is reported but not enforced — a
-/// 1-core machine cannot express frontend parallelism, and pretending
-/// it can would make the gate meaningless.
-fn shard_check(results: &[Measurement], path: &str) -> bool {
-    let mut ok = check(results, path);
-    let serial = results
-        .iter()
-        .find(|m| m.id == "full_trade2_snarf_serial")
-        .expect("suite entry");
-    let sharded = results
-        .iter()
-        .find(|m| m.id == "full_trade2_snarf_shards4")
-        .expect("suite entry");
-    let cores = host_cores();
-    let speedup = sharded.cycles_per_sec() as f64 / serial.cycles_per_sec().max(1) as f64;
-    if cores >= 8 {
-        let pass = speedup >= 1.5;
-        let verdict = if pass { "ok" } else { "TOO SLOW" };
-        eprintln!(
-            "bench: shards=4 single-run speedup {speedup:.2}x on {cores}-core host \
-             (floor 1.50) {verdict}"
-        );
-        ok &= pass;
-    } else {
-        eprintln!(
-            "bench: shards=4 single-run speedup {speedup:.2}x — {cores}-core host cannot \
-             express frontend parallelism; the 1.5x floor applies on hosts with >= 8 cores \
-             (the 20% no-regression floor was still enforced)"
-        );
-    }
-    ok
-}
-
 /// Pulls `"key": <integer>` values out of our own flat JSON format.
-/// Not a general JSON parser — `BENCH_PR5.json` is machine-written by
+/// Not a general JSON parser — `BENCH_PR10.json` is machine-written by
 /// `--emit`, one entry object per line.
 fn scan_u64(line: &str, key: &str) -> Option<u64> {
     let needle = format!("\"{key}\":");
@@ -342,7 +239,7 @@ fn read_field(path: &str, key: &str) -> Vec<(String, u64)> {
         .collect()
 }
 
-fn emit(results: &[Measurement], base: Option<&str>, host_cores: Option<u64>) {
+fn emit(results: &[Measurement], base: Option<&str>) {
     let pre: Vec<(String, u64)> = base
         .map(|p| read_field(p, "pre_cycles_per_sec"))
         .unwrap_or_default();
@@ -350,11 +247,6 @@ fn emit(results: &[Measurement], base: Option<&str>, host_cores: Option<u64>) {
     println!("  \"schema\": \"cmpsim-bench/1\",");
     println!("  \"generated_by\": \"scripts/bench.sh (bench_throughput --emit)\",");
     println!("  \"note\": \"pre_cycles_per_sec measured on the pre-PR build, same machine, same pinned cases; post_* from this build\",");
-    if let Some(cores) = host_cores {
-        // Recorded so readers of the file know whether the speedup
-        // clause of the shard gate was assessable when it was written.
-        println!("  \"host_cores\": {cores},");
-    }
     println!("  \"entries\": [");
     for (i, m) in results.iter().enumerate() {
         let pre_cps = pre.iter().find(|(id, _)| id == m.id).map_or(0, |&(_, v)| v);
@@ -377,7 +269,7 @@ fn emit(results: &[Measurement], base: Option<&str>, host_cores: Option<u64>) {
 }
 
 /// Entries whose committed pre→post ratio must demonstrate the packed
-/// tag-array win; other entries (quick, smoke, shard) only report it.
+/// tag-array win; other entries (quick, smoke) only report it.
 const SPEEDUP_FLOOR_IDS: [&str; 2] = ["full_trade2_snarf", "full_cpw2_wbht"];
 
 fn check(results: &[Measurement], path: &str) -> bool {
@@ -406,8 +298,7 @@ fn check(results: &[Measurement], path: &str) -> bool {
         }
         // The recorded pre→post speedup, taken from the committed file
         // (both sides measured on the same host, same pinned cases). A
-        // recorded pre of 0 means the baseline was never measured there
-        // — e.g. parity-only shard entries written on a 1-core host —
+        // recorded pre of 0 means the baseline was never measured there,
         // so the ratio is undefined: skip it with a note rather than
         // divide by zero or fail spuriously.
         match baseline.iter().find(|(id, _)| id == m.id) {
@@ -557,33 +448,8 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("--emit") => {
             let results = suite();
-            emit(&results, args.get(1).map(String::as_str), None);
+            emit(&results, args.get(1).map(String::as_str));
         }
-        Some("--shard-bench") => match args.get(1).map(String::as_str) {
-            Some("--check") => {
-                let path = args.get(2).map(String::as_str).unwrap_or("BENCH_PR9.json");
-                let results = shard_suite();
-                if !shard_check(&results, path) {
-                    if std::env::var_os("CMPSIM_BENCH_NO_GATE").is_some() {
-                        eprintln!("bench: shard gate bypassed (CMPSIM_BENCH_NO_GATE)");
-                    } else {
-                        eprintln!(
-                            "bench: sharded-run gate failed; investigate, or re-run with \
-                             CMPSIM_BENCH_NO_GATE=1 / refresh via scripts/bench.sh --shard-update"
-                        );
-                        std::process::exit(1);
-                    }
-                }
-            }
-            _ => {
-                let results = shard_suite();
-                emit(
-                    &results,
-                    args.get(2).map(String::as_str),
-                    Some(host_cores()),
-                );
-            }
-        },
         Some("--overhead-check") => {
             if !overhead_check() {
                 if std::env::var_os("CMPSIM_BENCH_NO_GATE").is_some() {
@@ -624,7 +490,7 @@ fn main() {
         }
         _ => {
             let results = suite();
-            emit(&results, None, None);
+            emit(&results, None);
         }
     }
 }

@@ -4,7 +4,6 @@ use std::time::Instant;
 
 fn main() {
     cmpsim_bench::jobs_from_args();
-    cmpsim_bench::shards_from_args();
     let profile = cmpsim_bench::Profile::from_env();
     println!(
         "# Experiment report (scale factor {}, {} refs/thread)\n",

@@ -2,7 +2,6 @@
 //! module docs).
 fn main() {
     cmpsim_bench::jobs_from_args();
-    cmpsim_bench::shards_from_args();
     let profile = cmpsim_bench::Profile::from_env();
     let e = cmpsim_bench::experiments::by_id("policy-audit").expect("registered experiment");
     println!("== {} ==", e.title);

@@ -6,7 +6,6 @@
 //! ```
 fn main() {
     cmpsim_bench::jobs_from_args();
-    cmpsim_bench::shards_from_args();
     let check = std::env::args().any(|a| a == "--check");
     let profile = cmpsim_bench::Profile::from_env();
     if check {

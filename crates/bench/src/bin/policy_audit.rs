@@ -241,7 +241,6 @@ fn metrics_rows(r: &RunReport) -> Vec<(String, cmpsim_engine::metrics::MetricSca
 
 fn main() {
     cmpsim_bench::jobs_from_args();
-    cmpsim_bench::shards_from_args();
     let p = Profile::from_env();
     let mut pressure = 6u32;
     let mut do_check = false;
@@ -263,10 +262,7 @@ fn main() {
             "--jobs" => {
                 it.next(); // consumed by jobs_from_args
             }
-            "--shards" => {
-                it.next(); // consumed by shards_from_args
-            }
-            other if other.starts_with("--jobs=") || other.starts_with("--shards=") => {}
+            other if other.starts_with("--jobs=") => {}
             other => {
                 eprintln!(
                     "policy_audit: unknown flag {other}\n\

@@ -37,7 +37,6 @@ struct Args {
 
 fn parse_args() -> Args {
     cmpsim_bench::jobs_from_args();
-    cmpsim_bench::shards_from_args();
     let mut args = Args {
         jobs: cmpsim_bench::effective_jobs(),
         // Stride 1 times every iteration with shared window boundaries,
@@ -54,9 +53,6 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--jobs" => {
                 it.next(); // consumed by jobs_from_args
-            }
-            "--shards" => {
-                it.next(); // consumed by shards_from_args
             }
             "--stride" => {
                 args.stride = it
@@ -75,10 +71,8 @@ fn parse_args() -> Args {
             other => {
                 if let Some(p) = other.strip_prefix("--stream-telemetry=") {
                     args.stream_path = Some(p.to_string());
-                } else if other.strip_prefix("--jobs=").is_some()
-                    || other.strip_prefix("--shards=").is_some()
-                {
-                    // consumed by jobs_from_args / shards_from_args
+                } else if other.starts_with("--jobs=") {
+                    // consumed by jobs_from_args
                 } else {
                     usage(&format!("unknown flag {other}"))
                 }

@@ -15,8 +15,5 @@ pub mod experiments;
 mod profile;
 mod table;
 
-pub use profile::{
-    effective_jobs, effective_shards, jobs_from_args, parallel_runs, run_grid, set_jobs,
-    set_shards, shards_from_args, Profile,
-};
+pub use profile::{effective_jobs, jobs_from_args, parallel_runs, run_grid, set_jobs, Profile};
 pub use table::Table;

@@ -88,7 +88,6 @@ impl Profile {
     pub fn spec(&self, config: SystemConfig, workload: cmpsim_trace::Workload) -> RunSpec {
         let mut spec = RunSpec::for_workload(config, workload, self.refs_per_thread);
         spec.retry_switch = Some(self.retry_switch());
-        spec.shards = effective_shards();
         spec
     }
 
@@ -209,63 +208,6 @@ pub fn jobs_from_args() {
     }
 }
 
-/// Process-wide per-run shard-count override set by `--shards`;
-/// 0 means serial (1).
-static SHARDS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Overrides the per-run shard count applied by [`Profile::spec`]
-/// (0 restores the serial default).
-pub fn set_shards(shards: usize) {
-    SHARDS.store(shards, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The per-run shard count [`Profile::spec`] will apply: the `--shards`
-/// override if set, else the `CMPSIM_SHARDS` environment variable, else
-/// 1 (serial). Unlike `--jobs` there is no auto-detection: sharding a
-/// run is byte-identical but not free on saturated hosts, so it stays
-/// opt-in. `--shards` composes with `--jobs` — grid cells still fan out
-/// across jobs, and each run additionally shards its frontend.
-pub fn effective_shards() -> usize {
-    let s = SHARDS.load(std::sync::atomic::Ordering::Relaxed);
-    if s > 0 {
-        return s;
-    }
-    if let Ok(v) = std::env::var("CMPSIM_SHARDS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    1
-}
-
-/// Parses `--shards N` (or `--shards=N`) from the process arguments and
-/// registers it as the per-run shard-count override. Experiment
-/// binaries call this once at startup (next to [`jobs_from_args`]);
-/// unknown arguments are left for the caller.
-pub fn shards_from_args() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let n = if a == "--shards" {
-            it.next().and_then(|v| v.parse::<usize>().ok())
-        } else if let Some(v) = a.strip_prefix("--shards=") {
-            v.parse::<usize>().ok()
-        } else {
-            continue;
-        };
-        match n {
-            Some(n) if n > 0 => set_shards(n),
-            _ => {
-                eprintln!("--shards expects a positive integer");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-}
-
 /// Runs several simulations in parallel, preserving input order in the
 /// results. The worker count comes from [`effective_jobs`] (`--jobs` /
 /// `CMPSIM_JOBS` / auto); results are identical at any setting.
@@ -292,18 +234,6 @@ mod tests {
         assert_eq!(q.table_entries(32 * 1024), 4096);
         assert_eq!(f.table_entries(32 * 1024), 32 * 1024);
         assert_eq!(q.table_entries(512), 256); // floor
-    }
-
-    #[test]
-    fn spec_applies_shard_override() {
-        // Serial-only test ordering hazard: the override is
-        // process-wide, so restore it before returning.
-        let p = Profile::smoke();
-        assert_eq!(p.spec(p.config(), Workload::Tp).shards, 1);
-        set_shards(4);
-        assert_eq!(p.spec(p.config(), Workload::Tp).shards, 4);
-        set_shards(0);
-        assert_eq!(p.spec(p.config(), Workload::Tp).shards, 1);
     }
 
     #[test]

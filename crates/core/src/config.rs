@@ -224,8 +224,7 @@ impl SystemConfig {
     /// core pair, same per-L2 capacity), only the agent count grows.
     /// This is the >8-core topology axis the ring hierarchy invites —
     /// a 32- or 64-core chip puts proportionally more L2 agents on the
-    /// snooped ring, which is exactly the configuration sharded
-    /// execution (`--shards`) is meant to make affordable.
+    /// snooped ring.
     ///
     /// # Panics
     ///

@@ -190,15 +190,6 @@ pub struct RunSpec {
     /// Enables the decision-quality audit (disabled by default: zero
     /// cost, byte-identical outputs).
     pub audit: bool,
-    /// Frontend shard count (`--shards N`). With `N > 1`, trace
-    /// generation runs on `N` producer threads feeding the event loop
-    /// through lock-free per-thread rings
-    /// ([`cmpsim_trace::ShardedWorkload`]); the run-ahead is bounded by
-    /// the conservative lookahead derived from the ring hop latency.
-    /// Output is byte-identical to the serial build for every count
-    /// (enforced by `tests/shard_oracle.rs` and the verify.sh matrix),
-    /// so the field is deliberately absent from [`RunReport::metrics`].
-    pub shards: usize,
 }
 
 impl RunSpec {
@@ -218,7 +209,6 @@ impl RunSpec {
             stream_cell: 0,
             progress_secs: None,
             audit: false,
-            shards: 1,
         }
     }
 }
@@ -244,20 +234,7 @@ pub fn run(spec: RunSpec) -> Result<RunReport, SystemError> {
     let workload_name = spec.workload.name.clone();
     let policy = spec.config.policy.label();
     let max_outstanding = spec.config.max_outstanding;
-    let mut sys = if spec.shards > 1 {
-        // Sharded frontend: same generator, same seed, but producing on
-        // worker threads with ring-hop-bounded run-ahead. Stream-for-
-        // stream identical to the inline path, so everything downstream
-        // of the source is untouched.
-        use cmpsim_engine::shard::Lookahead;
-        use cmpsim_trace::{ShardedWorkload, SyntheticWorkload};
-        let generator = SyntheticWorkload::new(spec.workload, spec.config.seed)?;
-        let lookahead = Lookahead::from_ring_hop(spec.config.ring.hop_cycles);
-        let source = ShardedWorkload::spawn_with_lookahead(generator, spec.shards, lookahead);
-        System::with_source(spec.config, Box::new(source))?
-    } else {
-        System::new(spec.config, spec.workload)?
-    };
+    let mut sys = System::new(spec.config, spec.workload)?;
     if let Some(rs) = spec.retry_switch {
         sys.set_retry_switch(rs);
     }
@@ -459,23 +436,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_is_byte_identical_to_serial() {
-        let spec = RunSpec::for_workload(SystemConfig::scaled(16), Workload::Trade2, 600);
-        let serial = run(spec.clone()).unwrap();
-        for shards in [2, 4] {
-            let mut sharded_spec = spec.clone();
-            sharded_spec.shards = shards;
-            let sharded = run(sharded_spec).unwrap();
-            assert_eq!(serial.to_json(), sharded.to_json(), "shards={shards}");
-            assert_eq!(serial.to_csv(), sharded.to_csv(), "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn scaled_out_32_core_topology_runs_and_shards_identically() {
+    fn scaled_out_32_core_topology_runs() {
         // The >8-core axis: 32 cores, 64 threads, 16 L2 agents on the
-        // ring — shrunk caches keep the test fast. The sharded frontend
-        // must agree byte-for-byte here too.
+        // ring — shrunk caches keep the test fast.
         let mut cfg = SystemConfig::with_cores(32);
         cfg.l2_slice_bytes = 32 * 1024;
         cfg.l3 = cmpsim_mem::L3Config::scaled(16);
@@ -483,13 +446,8 @@ mod tests {
             l1.size_bytes = 4 * 1024;
         }
         cfg.retry_switch = RetrySwitchConfig::scaled(16);
-        let spec = RunSpec::for_workload(cfg, Workload::Cpw2, 150);
-        let serial = run(spec.clone()).unwrap();
-        assert_eq!(serial.stats.refs, 150 * 64);
-        let mut sharded_spec = spec;
-        sharded_spec.shards = 8;
-        let sharded = run(sharded_spec).unwrap();
-        assert_eq!(serial.to_json(), sharded.to_json());
+        let r = run(RunSpec::for_workload(cfg, Workload::Cpw2, 150)).unwrap();
+        assert_eq!(r.stats.refs, 150 * 64);
     }
 
     #[test]

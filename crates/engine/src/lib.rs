@@ -8,8 +8,6 @@
 //!   order),
 //! * contention-modelling resources ([`FifoServer`], [`Channel`],
 //!   [`SlotPool`]) that turn "this unit is busy" into queueing delay,
-//! * sharded-execution primitives: lock-free SPSC handoff rings
-//!   ([`spsc`]) and conservative-lookahead window math ([`shard`]),
 //! * a small, fast, deterministic RNG ([`SplitMix64`]),
 //! * online statistics helpers ([`stats`]), and
 //! * fast deterministic hashing for internal maps ([`hash`]).
@@ -51,9 +49,7 @@ pub mod progress;
 pub mod queue;
 mod resource;
 mod rng;
-pub mod shard;
 pub mod spans;
-pub mod spsc;
 pub mod stats;
 pub mod stream;
 pub mod telemetry;

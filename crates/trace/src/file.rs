@@ -21,6 +21,11 @@ use crate::{MemOp, ThreadId, TraceRecord};
 
 const MAGIC: [u8; 8] = *b"CMPTRC01";
 
+/// Most records [`read_trace`] reserves before reading any. The header's
+/// count is untrusted: a forged 16-byte header must not become a huge
+/// allocation, so past this the vector grows as records arrive.
+const MAX_PREALLOC_RECORDS: u64 = 64 * 1024;
+
 /// Errors from reading a trace file.
 #[derive(Debug)]
 pub enum TraceFileError {
@@ -121,7 +126,7 @@ pub fn read_trace<R: Read>(mut r: R) -> Result<Vec<TraceRecord>, TraceFileError>
     let mut count_bytes = [0u8; 8];
     r.read_exact(&mut count_bytes)?;
     let count = u64::from_le_bytes(count_bytes);
-    let mut records = Vec::with_capacity(count.min(1 << 24) as usize);
+    let mut records = Vec::with_capacity(count.min(MAX_PREALLOC_RECORDS) as usize);
     let mut rec = [0u8; 11];
     for i in 0..count {
         if let Err(e) = r.read_exact(&mut rec) {
@@ -198,6 +203,19 @@ mod tests {
             TraceFileError::Truncated { expected, got } => {
                 assert_eq!(expected, 100);
                 assert_eq!(got, 99);
+            }
+            other => panic!("unexpected {other}"),
+        }
+    }
+
+    #[test]
+    fn forged_count_header_reports_truncation() {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
+        match read_trace(&buf[..]).unwrap_err() {
+            TraceFileError::Truncated { expected, got } => {
+                assert_eq!(expected, u64::MAX);
+                assert_eq!(got, 0);
             }
             other => panic!("unexpected {other}"),
         }

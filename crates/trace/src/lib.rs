@@ -31,12 +31,10 @@ pub mod analysis;
 pub mod file;
 mod presets;
 mod record;
-mod sharded;
 mod source;
 mod synth;
 
 pub use presets::{CacheScale, Workload};
 pub use record::{MemOp, ThreadId, TraceRecord};
-pub use sharded::ShardedWorkload;
 pub use source::{ReferenceSource, TracePlayback};
 pub use synth::{SegmentMix, SyntheticWorkload, WorkloadError, WorkloadParams};

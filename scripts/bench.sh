@@ -14,14 +14,6 @@
 #   scripts/bench.sh --audit-overhead
 #                                decision-audit overhead gate: fail when
 #                                --audit costs more than 3% cycles/sec
-#   scripts/bench.sh --shard-check
-#                                single-run sharding gate vs
-#                                BENCH_PR9.json: 20% no-regression floor
-#                                on the serial and --shards 4 entries,
-#                                plus a 1.5x speedup floor on >=8-core
-#                                hosts
-#   scripts/bench.sh --shard-update
-#                                re-measure and rewrite BENCH_PR9.json
 #
 # The gate compares wall-clock throughput, so it is machine- and
 # load-sensitive: run it on an otherwise idle machine. Set
@@ -48,22 +40,11 @@ case "${1:-}" in
         trap - EXIT
         echo "bench: BENCH_PR10.json updated (pre_* baselines carried over)" >&2
         ;;
-    --shard-check)
-        exec "$BIN" --shard-bench --check BENCH_PR9.json
-        ;;
-    --shard-update)
-        tmp=$(mktemp)
-        trap 'rm -f "$tmp"' EXIT
-        "$BIN" --shard-bench --emit BENCH_PR9.json > "$tmp"
-        mv "$tmp" BENCH_PR9.json
-        trap - EXIT
-        echo "bench: BENCH_PR9.json updated" >&2
-        ;;
     "")
         exec "$BIN" --emit
         ;;
     *)
-        echo "usage: scripts/bench.sh [--check|--update|--audit-overhead|--shard-check|--shard-update]" >&2
+        echo "usage: scripts/bench.sh [--check|--update|--audit-overhead]" >&2
         exit 2
         ;;
 esac

@@ -7,8 +7,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+# Every crate's suite, not only the root package's: per-crate unit and
+# integration tests (among them the cmpsim-cache packed-vs-generic
+# mirror suite and its static layout assertions) run here too.
+cargo test --workspace -q
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -82,36 +85,6 @@ for pol in baseline wbht snarf combined rdcb hybrid wbht+hybrid; do
         exit 1
     fi
 done
-
-echo "==> shard matrix smoke (cmpsim --shards 1,2,4 vs serial, 2 policies)"
-# The sharded frontend must be a pure wall-clock optimization: for a
-# representative pair of policies, every shard count must emit JSON
-# byte-identical to the plain serial run (which omits --shards).
-for pol in baseline combined; do
-    shard_ref=$(mktemp)
-    ./target/release/cmpsim --policy "$pol" --refs 2000 --seed 42 --json > "$shard_ref"
-    for shards in 1 2 4; do
-        if ! ./target/release/cmpsim --policy "$pol" --refs 2000 --seed 42 \
-            --shards "$shards" --json | diff -q - "$shard_ref" >/dev/null; then
-            rm -f "$shard_ref"
-            echo "verify: FAILED — cmpsim --shards $shards diverged from serial (--policy $pol)" >&2
-            exit 1
-        fi
-    done
-    rm -f "$shard_ref"
-done
-
-echo "==> single-run sharding throughput gate (scripts/bench.sh --shard-check)"
-# 20% no-regression floor on the serial and --shards 4 pinned entries in
-# BENCH_PR9.json, plus a 1.5x single-run speedup floor on >=8-core
-# hosts. CMPSIM_BENCH_NO_GATE=1 demotes to a warning.
-./scripts/bench.sh --shard-check
-
-echo "==> packed tag-array static layout assertions"
-# The packed word must stay exactly 8 bytes (the whole point of the
-# backend); the randomized mirror suite cross-checks packed vs generic
-# behavior in the same binary.
-cargo test -q -p cmpsim-cache --test mirror >/dev/null
 
 echo "==> legacy-tags differential oracle smoke (generic vs packed build)"
 # A whole-build diff: the simulator compiled on the generic tag-array

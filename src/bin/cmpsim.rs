@@ -10,7 +10,7 @@
 //! ```text
 //! cmpsim [--workload tp|cpw2|notesbench|trade2] [--policy baseline|wbht|snarf|combined]
 //!        [--entries N] [--outstanding 1..6] [--refs N] [--scale N] [--seed N]
-//!        [--shards N] [--cores N]
+//!        [--cores N]
 //!        [--trace FILE] [--granularity N] [--global-wbht] [--csv] [--json]
 //!        [--audit] [--metrics-out FILE]
 //!        [--trace-events FILE] [--interval-stats N]
@@ -42,7 +42,6 @@ struct Args {
     refs: u64,
     scale: u64,
     seed: u64,
-    shards: usize,
     cores: Option<u8>,
     trace: Option<String>,
     granularity: u64,
@@ -74,7 +73,6 @@ impl Default for Args {
             refs: 20_000,
             scale: 8,
             seed: 0x1BAD_B002,
-            shards: 1,
             cores: None,
             trace: None,
             granularity: 1,
@@ -101,10 +99,10 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
+        let mut value = || it.next().ok_or_else(|| format!("missing value for {flag}"));
         match flag.as_str() {
             "--workload" | "-w" => {
-                args.workload = match value("--workload")?.to_lowercase().as_str() {
+                args.workload = match value()?.to_lowercase().as_str() {
                     "tp" => Workload::Tp,
                     "cpw2" => Workload::Cpw2,
                     "notesbench" | "nb" => Workload::NotesBench,
@@ -112,34 +110,31 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown workload {other}")),
                 }
             }
-            "--policy" | "-p" => args.policy = value("--policy")?.to_lowercase(),
-            "--entries" => args.entries = parse_num(&value("--entries")?)?,
-            "--outstanding" | "-o" => {
-                args.outstanding = parse_num(&value("--outstanding")?)? as u32
-            }
-            "--refs" | "-n" => args.refs = parse_num(&value("--refs")?)?,
-            "--scale" => args.scale = parse_num(&value("--scale")?)?,
-            "--seed" => args.seed = parse_num(&value("--seed")?)?,
-            "--shards" => args.shards = parse_num(&value("--shards")?)?.max(1) as usize,
-            "--cores" => args.cores = Some(parse_num(&value("--cores")?)? as u8),
-            "--trace" => args.trace = Some(value("--trace")?),
-            "--granularity" => args.granularity = parse_num(&value("--granularity")?)?,
+            "--policy" | "-p" => args.policy = value()?.to_lowercase(),
+            "--entries" => args.entries = parse_num(&flag, &value()?)?,
+            "--outstanding" | "-o" => args.outstanding = parse_num(&flag, &value()?)?,
+            "--refs" | "-n" => args.refs = parse_num(&flag, &value()?)?,
+            "--scale" => args.scale = parse_num(&flag, &value()?)?,
+            "--seed" => args.seed = parse_num(&flag, &value()?)?,
+            "--cores" => args.cores = Some(parse_num(&flag, &value()?)?),
+            "--trace" => args.trace = Some(value()?),
+            "--granularity" => args.granularity = parse_num(&flag, &value()?)?,
             "--global-wbht" => args.global_wbht = true,
             "--csv" => args.csv = true,
             "--json" => args.json = true,
             "--audit" => args.audit = true,
-            "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
-            "--trace-events" => args.trace_events = Some(value("--trace-events")?),
+            "--metrics-out" => args.metrics_out = Some(value()?),
+            "--trace-events" => args.trace_events = Some(value()?),
             "--interval-stats" => {
-                args.interval_stats = Some(parse_num(&value("--interval-stats")?)?.max(1));
+                args.interval_stats = Some(parse_num::<u64>(&flag, &value()?)?.max(1));
             }
-            "--trace-spans" => args.trace_spans = Some(value("--trace-spans")?),
+            "--trace-spans" => args.trace_spans = Some(value()?),
             "--span-sample" => {
-                args.span_sample = parse_num(&value("--span-sample")?)?.max(1);
+                args.span_sample = parse_num::<u64>(&flag, &value()?)?.max(1);
             }
             "--profile-host" => args.profile_host = true,
             "--profile-stride" => {
-                args.profile_stride = parse_num(&value("--profile-stride")?)?.max(1) as u32;
+                args.profile_stride = parse_num::<u32>(&flag, &value()?)?.max(1);
             }
             "--stream-telemetry" => args.stream_telemetry = Some(None),
             "--progress" => args.progress_secs = Some(5.0),
@@ -228,13 +223,18 @@ fn parse_policy(
     Ok(p)
 }
 
-fn parse_num(s: &str) -> Result<u64, String> {
-    let s = s.replace('_', "");
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).map_err(|e| format!("bad number {s}: {e}"))
-    } else {
-        s.parse().map_err(|e| format!("bad number {s}: {e}"))
+/// Parses the value of a numeric flag (decimal or `0x` hex, `_`
+/// separators allowed) into the flag's own integer type. Errors name
+/// the flag and the value as typed; a value that parses but does not
+/// fit the type is an error, never a silent wrap or truncation.
+fn parse_num<T: TryFrom<u64>>(flag: &str, raw: &str) -> Result<T, String> {
+    let s = raw.replace('_', "");
+    let n = match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => s.parse(),
     }
+    .map_err(|e| format!("{flag} {raw}: {e}"))?;
+    T::try_from(n).map_err(|_| format!("{flag} {raw}: out of range"))
 }
 
 const HELP: &str = "cmpsim - CMP cache-hierarchy simulator (ISCA 2005 reproduction)
@@ -252,11 +252,8 @@ OPTIONS:
     -n, --refs N           references per thread [20000]
         --scale N          capacity divisor vs the paper system [8]
         --seed N           workload RNG seed
-        --shards N         generate the workload on N producer threads
-                           feeding the event loop through lock-free
-                           rings; output is byte-identical to serial [1]
-        --cores N          cores on the chip (multiple of 2; scales the
-                           L2 agent count on the ring with it) [8]
+        --cores N          cores on the chip (multiple of 2, 2-254; scales
+                           the L2 agent count on the ring with it) [8]
         --trace FILE       replay a CMPTRC01 trace instead of a synthetic workload
         --granularity N    lines per WBHT entry (power of two) [1]
         --global-wbht      allocate WBHT entries in all L2s (Figure 3 mode)
@@ -345,27 +342,10 @@ fn real_main() -> Result<(), String> {
 
     let mut sys = match &args.trace {
         Some(path) => {
-            if args.shards > 1 {
-                return Err("--shards applies to synthetic workloads, not --trace playback".into());
-            }
             let data = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
             let records = trace_file::read_trace(&data[..]).map_err(|e| format!("{path}: {e}"))?;
             let playback = TracePlayback::new(path.clone(), records, cfg.num_threads(), 1);
             System::with_source(cfg.clone(), Box::new(playback)).map_err(|e| e.to_string())?
-        }
-        None if args.shards > 1 => {
-            // Sharded frontend: generation moves to worker threads with
-            // ring-hop-bounded run-ahead; output stays byte-identical.
-            use cmp_hierarchies::engine::shard::Lookahead;
-            use cmp_hierarchies::trace::{ShardedWorkload, SyntheticWorkload};
-            let params = args.workload.params(cfg.num_threads(), cfg.cache_scale());
-            let generator = SyntheticWorkload::new(params, cfg.seed).map_err(|e| e.to_string())?;
-            let source = ShardedWorkload::spawn_with_lookahead(
-                generator,
-                args.shards,
-                Lookahead::from_ring_hop(cfg.ring.hop_cycles),
-            );
-            System::with_source(cfg.clone(), Box::new(source)).map_err(|e| e.to_string())?
         }
         None => {
             let params = args.workload.params(cfg.num_threads(), cfg.cache_scale());

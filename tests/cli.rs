@@ -1,0 +1,57 @@
+//! Command-line contract of the `cmpsim` binary: bad flag values exit 1
+//! with a message that names the flag and the value as typed, instead
+//! of being wrapped, truncated or ignored.
+
+use std::process::{Command, Output};
+
+fn cmpsim(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_cmpsim"))
+        .args(args)
+        .output()
+        .expect("cmpsim runs")
+}
+
+/// Asserts a run failed with exit code 1 and a stderr naming `needles`.
+fn assert_rejected(args: &[&str], needles: &[&str]) {
+    let out = cmpsim(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    for needle in needles {
+        assert!(
+            stderr.contains(needle),
+            "{args:?}: {needle:?} not in {stderr:?}"
+        );
+    }
+}
+
+#[test]
+fn cores_past_the_u8_range_are_rejected_not_wrapped() {
+    assert_rejected(&["--cores", "300", "-q"], &["--cores", "300"]);
+    assert_rejected(&["--cores", "256", "-q"], &["--cores", "256"]);
+}
+
+#[test]
+fn odd_core_count_is_rejected() {
+    assert_rejected(&["--cores", "3", "-q"], &["--cores", "got 3"]);
+}
+
+#[test]
+fn outstanding_past_the_u32_range_is_rejected_not_truncated() {
+    assert_rejected(&["-o", "4294967297", "-q"], &["-o", "4294967297"]);
+}
+
+#[test]
+fn shards_flag_is_unknown() {
+    assert_rejected(&["--shards", "2", "-q"], &["unknown flag --shards"]);
+}
+
+#[test]
+fn valid_core_count_runs() {
+    let out = cmpsim(&["--cores", "4", "-n", "200", "--json"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"refs\":1600"));
+}

@@ -74,23 +74,3 @@ fn seed_2d4b878a_rotor_shared_contention_stays_coherent() {
         + stats.wb.accepted_l3;
     assert!(outcomes <= stats.wb.requests());
 }
-
-#[test]
-fn seed_2d4b878a_survives_the_shard_oracle() {
-    // The same pathological interleaving, through the sharded frontend:
-    // maximal same-line contention is exactly where an out-of-order
-    // record handoff would first diverge from the serial oracle.
-    use cmp_hierarchies::adaptive::{run, RunSpec};
-
-    let mut cfg = SystemConfig::scaled(16);
-    cfg.max_outstanding = 4;
-    let mut base = RunSpec::for_workload(cfg, cmp_hierarchies::trace::Workload::Tp, 800);
-    base.workload = rotor_shared_contention_params();
-    let serial = run(base.clone()).unwrap();
-    for shards in [2, 8] {
-        let mut spec = base.clone();
-        spec.shards = shards;
-        let sharded = run(spec).unwrap();
-        assert_eq!(serial.to_json(), sharded.to_json(), "shards={shards}");
-    }
-}
