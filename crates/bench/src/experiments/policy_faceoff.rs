@@ -106,7 +106,7 @@ fn attribution(p: &Profile) -> Table {
     t
 }
 
-/// Structural self-check for CI (`exp_policy_faceoff --check`): runs a
+/// Structural self-check for CI (`exp policy-faceoff --check`): runs a
 /// smoke-sized face-off and validates that every contender completed,
 /// the new policies populated their report sections, and the span
 /// attribution recorded fills. Returns the failures, empty on pass.

@@ -3,8 +3,9 @@
 //! Each experiment module corresponds to one table or figure of §5 of
 //! *"Adaptive Mechanisms and Policies for Managing Cache Hierarchies in
 //! Chip Multiprocessors"* and prints output in the same shape as the
-//! paper reports it. `exp-all` (see `src/bin/`) runs everything and is
-//! the source of `EXPERIMENTS.md`.
+//! paper reports it. The `exp` binary runs one experiment by id
+//! (`exp fig2`) or everything (`exp all`, the source of
+//! `EXPERIMENTS.md`); ids come from [`experiments::all`].
 //!
 //! Experiments run at a [`Profile`]-selected scale: `quick` (default)
 //! uses a capacity-scaled hierarchy and short streams; `full` uses the

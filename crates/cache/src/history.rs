@@ -3,15 +3,12 @@
 //! The paper's two mechanisms are both built on "a small lookup table …
 //! organized and accessed just like a cache tag array" (§2): the
 //! Write-Back History Table stores bare tags, the snarf (reuse) table
-//! stores tags plus a *use bit*. [`HistoryTable`] provides both, generic
-//! over a small payload.
+//! stores tags plus a *use bit*, and the post-paper rdcb and hybrid
+//! policies store a two-counter entry per tag. [`HistoryTable`] serves
+//! them all: the tags live in a tag-only [`TagArray`] and each payload
+//! sits in a parallel array at the flat way its tag occupies.
 
-use std::marker::PhantomData;
-
-use crate::{
-    CacheGeometry, GenericTagArray, GeometryError, InsertPosition, LineAddr, ReplacementPolicy,
-    TagArray, TagStorage,
-};
+use crate::{CacheGeometry, GeometryError, InsertPosition, LineAddr, ReplacementPolicy, TagArray};
 
 /// Statistics of a [`HistoryTable`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,6 +33,10 @@ pub struct HistoryStats {
 /// hints*: stale or missing entries only cost cycles, never correctness,
 /// which is why the table may be updated lazily off the miss path.
 ///
+/// The payload `P` can be any `Copy` value: it is stored beside the
+/// packed tags, not in them, so `()` (the WBHT) costs no memory and a
+/// wide entry imposes no tag-width limit.
+///
 /// # Example
 ///
 /// ```
@@ -50,19 +51,15 @@ pub struct HistoryStats {
 /// # Ok::<(), cmpsim_cache::GeometryError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct HistoryTable<P: Copy + Default, A: TagStorage<P> = TagArray<P>> {
-    tags: A,
+pub struct HistoryTable<P> {
+    tags: TagArray<()>,
+    /// One payload per way, indexed by the flat way [`TagArray::probe`]
+    /// reports. Only ways holding a valid tag are ever read.
+    payloads: Box<[P]>,
     stats: HistoryStats,
-    _payload: PhantomData<P>,
 }
 
-/// A [`HistoryTable`] on the generic (unpacked) backend, for payloads
-/// too wide to fit the packed tag word's spare bits — e.g. the
-/// reuse-distance predictor's two-`u64` entry. Tag-width rules never
-/// apply here; everything else (LRU aging, stats, API) is identical.
-pub type WideHistoryTable<P> = HistoryTable<P, GenericTagArray<P>>;
-
-impl<P: Copy + Default, A: TagStorage<P>> HistoryTable<P, A> {
+impl<P: Copy + Default> HistoryTable<P> {
     /// Creates a table with `entries` total entries and `assoc` ways,
     /// with LRU replacement (as specified in the paper).
     ///
@@ -75,9 +72,9 @@ impl<P: Copy + Default, A: TagStorage<P>> HistoryTable<P, A> {
         // entry so `entries` is the capacity.
         let geom = CacheGeometry::from_entries(entries, assoc, 1)?;
         Ok(HistoryTable {
-            tags: A::try_new(geom, ReplacementPolicy::Lru)?,
+            tags: TagArray::try_new(geom, ReplacementPolicy::Lru)?,
+            payloads: vec![P::default(); geom.num_lines() as usize].into_boxed_slice(),
             stats: HistoryStats::default(),
-            _payload: PhantomData,
         })
     }
 
@@ -98,17 +95,17 @@ impl<P: Copy + Default, A: TagStorage<P>> HistoryTable<P, A> {
 
     /// Checks for a line *without* updating recency or stats (pure peek).
     pub fn peek(&self, line: LineAddr) -> Option<P> {
-        self.tags.probe(line).map(|(_, p)| p)
+        self.tags.probe(line).map(|(way, ())| self.payloads[way])
     }
 
     /// Looks up a line, updating recency and hit/miss stats. Returns the
     /// payload when present.
     pub fn lookup(&mut self, line: LineAddr) -> Option<P> {
         match self.tags.probe(line) {
-            Some((_, p)) => {
+            Some((way, ())) => {
                 self.tags.touch(line);
                 self.stats.hits += 1;
-                Some(p)
+                Some(self.payloads[way])
             }
             None => {
                 self.stats.misses += 1;
@@ -125,33 +122,39 @@ impl<P: Copy + Default, A: TagStorage<P>> HistoryTable<P, A> {
     /// Records a line with the given payload: allocates a fresh entry (or
     /// refreshes an existing one), promoting it to MRU.
     pub fn record(&mut self, line: LineAddr, payload: P) {
-        if self.tags.update_state(line, |p| *p = payload) {
+        if let Some((way, ())) = self.tags.probe(line) {
+            self.payloads[way] = payload;
             self.tags.touch(line);
             return;
         }
         self.stats.allocs += 1;
+        let way = self.tags.way_to_fill(line);
         if self
             .tags
-            .insert(line, payload, InsertPosition::Mru)
+            .insert_into(line, way, (), InsertPosition::Mru)
             .is_some()
         {
             self.stats.evictions += 1;
         }
+        self.payloads[way] = payload;
     }
 
     /// Updates the payload of an existing entry in place (no recency
     /// update). Returns `false` when the line is absent.
     pub fn update(&mut self, line: LineAddr, f: impl FnOnce(&mut P)) -> bool {
-        self.tags.update_state(line, f)
+        let Some((way, ())) = self.tags.probe(line) else {
+            return false;
+        };
+        f(&mut self.payloads[way]);
+        true
     }
 
     /// Removes a line's entry, returning its payload.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<P> {
-        let r = self.tags.invalidate(line);
-        if r.is_some() {
-            self.stats.invalidations += 1;
-        }
-        r
+        let (way, ()) = self.tags.probe(line)?;
+        self.tags.invalidate(line);
+        self.stats.invalidations += 1;
+        Some(self.payloads[way])
     }
 
     /// Accumulated statistics.
@@ -269,19 +272,47 @@ mod tests {
 
     #[test]
     fn wide_table_holds_unpackable_payloads() {
-        // Two u64s can never fit the packed word; the wide alias stores
-        // them on the generic backend with identical table semantics.
+        // Two u64s can never fit a packed tag word; they sit beside the
+        // tags with the same table semantics as a tag-only payload.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         struct Wide {
             a: u64,
             b: u64,
         }
-        let mut t: crate::WideHistoryTable<Wide> = HistoryTable::new(16, 4).unwrap();
+        let mut t: HistoryTable<Wide> = HistoryTable::new(16, 4).unwrap();
         let l = LineAddr::new(7);
         t.record(l, Wide { a: 1, b: 2 });
         assert_eq!(t.lookup(l), Some(Wide { a: 1, b: 2 }));
         assert!(t.update(l, |w| w.b = 9));
         assert_eq!(t.peek(l), Some(Wide { a: 1, b: 9 }));
+    }
+
+    #[test]
+    fn payload_follows_its_line_through_way_reuse() {
+        // One 2-way set (2 entries): lines 0 and 1 fill both ways, then
+        // line 2 evicts line 0, the LRU entry, and reuses its way.
+        let mut t: HistoryTable<u8> = HistoryTable::new(2, 2).unwrap();
+        let (a, b, c) = (LineAddr::new(0), LineAddr::new(1), LineAddr::new(2));
+        t.record(a, 0xA);
+        t.record(b, 0xB);
+        t.record(c, 0xC);
+        assert_eq!(t.stats().evictions, 1);
+        assert_eq!(t.peek(a), None);
+        assert_eq!(t.peek(b), Some(0xB));
+        assert_eq!(t.peek(c), Some(0xC));
+
+        // `update` and `invalidate` act on their own entry only.
+        assert!(t.update(c, |p| *p = 0xCC));
+        assert!(!t.update(a, |p| *p = 0xAA));
+        assert_eq!(t.peek(b), Some(0xB));
+        assert_eq!(t.peek(c), Some(0xCC));
+        assert_eq!(t.invalidate(b), Some(0xB));
+        assert_eq!(t.peek(c), Some(0xCC));
+        assert_eq!(t.invalidate(c), Some(0xCC));
+        assert!(t.is_empty());
+
+        let s = t.stats();
+        assert_eq!((s.allocs, s.evictions, s.invalidations), (3, 1, 2));
     }
 
     #[test]

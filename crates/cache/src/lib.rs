@@ -42,11 +42,11 @@ mod wb_queue;
 
 pub use addr::{Addr, LineAddr};
 pub use config::{CacheGeometry, GeometryError, SlicedGeometry};
-pub use history::{HistoryStats, HistoryTable, WideHistoryTable};
+pub use history::{HistoryStats, HistoryTable};
 pub use mshr::{MshrError, MshrFile, MshrId};
 pub use replacement::ReplacementPolicy;
 pub use tag_array::{
-    packed_fits, Evicted, GenericTagArray, InsertPosition, PackedLine, PackedState, PackedTagArray,
-    TagArray, TagStorage, WayIdx, PACKED_LINE_ADDR_BITS,
+    packed_fits, Evicted, InsertPosition, PackedLine, PackedState, TagArray, WayIdx,
+    PACKED_LINE_ADDR_BITS,
 };
 pub use wb_queue::{WbEntry, WriteBackQueue};

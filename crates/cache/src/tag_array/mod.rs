@@ -1,37 +1,17 @@
-//! Set-associative tag arrays generic over a per-line state payload.
+//! The set-associative tag array, generic over a per-line state payload.
 //!
-//! Two backends share one API surface:
-//!
-//! * [`PackedTagArray`] — the default: per-line state packed into one
-//!   `u64` word (`valid | state | tag`, see [`PackedLine`]) stored
-//!   struct-of-arrays, so a way scan is a handful of sequential u64
-//!   loads and the common probe compiles to a masked-compare loop.
-//! * [`GenericTagArray`] — the pre-packing `Vec` of struct-of-enums
-//!   lines, kept as a differential oracle (and as storage for payloads
-//!   too wide to pack, via [`WideHistoryTable`]).
-//!
-//! [`TagArray`] aliases the packed backend by default; building with
-//! `--features legacy-tags` re-points the alias at the generic backend
-//! so a whole simulator build can be diffed byte-for-byte against the
-//! packed one (the same oracle pattern as the engine's `legacy-heap`).
-//!
-//! [`WideHistoryTable`]: crate::WideHistoryTable
+//! [`TagArray`] packs each line's state into one `u64` word
+//! (`valid | state | tag`, see [`PackedLine`]) stored struct-of-arrays,
+//! so a way scan is a handful of sequential u64 loads and the common
+//! probe compiles to a masked-compare loop. History tables keep their
+//! payloads (the snarf use bit, the rdcb and hybrid entries) beside a
+//! tag-only `TagArray<()>`; see [`HistoryTable`](crate::HistoryTable).
 
-mod generic;
 mod packed;
 
-use crate::{CacheGeometry, GeometryError, LineAddr, ReplacementPolicy};
+use crate::LineAddr;
 
-pub use generic::GenericTagArray;
-pub use packed::{packed_fits, PackedLine, PackedTagArray, PACKED_LINE_ADDR_BITS};
-
-/// The default tag-array backend: packed words.
-#[cfg(not(feature = "legacy-tags"))]
-pub use packed::PackedTagArray as TagArray;
-
-/// The differential-oracle backend selected by `--features legacy-tags`.
-#[cfg(feature = "legacy-tags")]
-pub use generic::GenericTagArray as TagArray;
+pub use packed::{packed_fits, PackedLine, TagArray, PACKED_LINE_ADDR_BITS};
 
 /// Index of a way within a set.
 pub type WayIdx = usize;
@@ -64,18 +44,15 @@ pub struct Evicted<S> {
 
 /// A per-line state payload that fits the packed tag word.
 ///
-/// The packed backend stores each line as one `u64` of
-/// `valid | state | tag`; a state type declares how many of those bits
-/// it needs ([`BITS`](Self::BITS)) and how to round-trip through them.
+/// [`TagArray`] stores each line as one `u64` of `valid | state | tag`;
+/// a state type declares how many of those bits it needs
+/// ([`BITS`](Self::BITS)) and how to round-trip through them.
 /// Implementors must satisfy `from_bits(to_bits(s)) == s` and keep
 /// `to_bits` within `BITS` bits; the array debug-asserts both.
 ///
 /// Implemented by the coherence enums (`L2State`: 3 bits, `L3State`:
-/// 1 bit — in `cmpsim-coherence`), the snarf use-bit (`bool`), `()` for
-/// tag-only tables (WBHT, L1 filters), and small unsigned integers for
-/// tests. Payloads wider than the word can spare (e.g. the
-/// reuse-distance predictor's two-counter entry) use the generic
-/// backend instead via [`WideHistoryTable`](crate::WideHistoryTable).
+/// 1 bit — in `cmpsim-coherence`), `()` for tag-only arrays (history
+/// tables, L1 filters), and small unsigned integers for tests.
 pub trait PackedState: Copy + Default {
     /// State bits consumed in the packed word (0 for tag-only payloads).
     const BITS: u32;
@@ -97,20 +74,6 @@ impl PackedState for () {
 
     #[inline]
     fn from_bits(_bits: u64) -> Self {}
-}
-
-impl PackedState for bool {
-    const BITS: u32 = 1;
-
-    #[inline]
-    fn to_bits(self) -> u64 {
-        self as u64
-    }
-
-    #[inline]
-    fn from_bits(bits: u64) -> Self {
-        bits != 0
-    }
 }
 
 impl PackedState for u8 {
@@ -141,49 +104,10 @@ impl PackedState for u16 {
     }
 }
 
-/// The backend-independent tag-storage surface.
-///
-/// [`HistoryTable`](crate::HistoryTable) is generic over this trait so
-/// the same table logic runs on packed words (WBHT tags, snarf use
-/// bits) and on generic struct-of-enums lines (payloads too wide to
-/// pack). Both [`PackedTagArray`] and [`GenericTagArray`] implement it
-/// by forwarding to their inherent methods.
-pub trait TagStorage<S>: std::fmt::Debug + Clone + Sized {
-    /// Creates empty storage, validating backend-specific limits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeometryError`] when the geometry violates a backend
-    /// constraint (e.g. the packed word cannot fit the tag bits).
-    fn try_new(geom: CacheGeometry, policy: ReplacementPolicy) -> Result<Self, GeometryError>;
-
-    /// The geometry this storage was built with.
-    fn geometry(&self) -> CacheGeometry;
-
-    /// Number of valid lines currently resident.
-    fn valid_lines(&self) -> u64;
-
-    /// Looks up a line without updating recency.
-    fn probe(&self, line: LineAddr) -> Option<(WayIdx, S)>;
-
-    /// Marks a line as just-used (hit path). Returns `false` if absent.
-    fn touch(&mut self, line: LineAddr) -> bool;
-
-    /// Rewrites a resident line's state in place (no recency update).
-    /// Returns `false` when the line is absent.
-    fn update_state(&mut self, line: LineAddr, f: impl FnOnce(&mut S)) -> bool;
-
-    /// Inserts a line, evicting a victim when the set is full.
-    fn insert(&mut self, line: LineAddr, state: S, pos: InsertPosition) -> Option<Evicted<S>>;
-
-    /// Removes a line, returning its state if it was present.
-    fn invalidate(&mut self, line: LineAddr) -> Option<S>;
-}
-
 /// Sentinel for "no memoized way" (associativities are far below this).
 pub(crate) const NO_HINT: u32 = u32::MAX;
 
-/// Tree-PLRU bit manipulation shared by both backends.
+/// Tree-PLRU bit manipulation.
 ///
 /// One `u64` of internal-node "victim points right" bits per set, root
 /// at bit 0, children of node `n` at `2n+1` / `2n+2`.
@@ -231,7 +155,7 @@ pub(crate) mod plru {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmpsim_engine::SplitMix64;
+    use crate::{CacheGeometry, ReplacementPolicy};
 
     fn small() -> TagArray<u8> {
         // 4 sets x 2 ways, 128 B lines.
@@ -374,66 +298,21 @@ mod tests {
     }
 
     #[test]
-    fn way_memo_is_behaviour_invisible() {
-        // Mirror a random probe/touch/insert/invalidate schedule onto two
-        // arrays, one with the way-memoization fast path disabled, and
-        // demand identical probe results (way AND state), identical
-        // evictions, and identical LRU stamps throughout.
-        let geom = CacheGeometry::new(4096, 8, 128).unwrap(); // 4 sets x 8 ways
-        let mut on: TagArray<u8> = TagArray::new(geom, ReplacementPolicy::Lru);
-        let mut off: TagArray<u8> = TagArray::new(geom, ReplacementPolicy::Lru);
-        off.set_way_memo(false);
-        let mut rng = SplitMix64::new(0xDEAD_BEEF);
-        for step in 0..20_000u64 {
-            let line = LineAddr::new(rng.gen_range(64));
-            match rng.gen_range(4) {
-                0 => {
-                    let a = on.probe(line);
-                    let b = off.probe(line);
-                    assert_eq!(a, b, "probe diverged at step {step}");
-                }
-                1 => {
-                    assert_eq!(on.touch(line), off.touch(line), "touch @ {step}");
-                }
-                2 => {
-                    let st = (step & 0xFF) as u8;
-                    if on.probe(line).is_none() {
-                        let a = on.insert(line, st, InsertPosition::Mru);
-                        let b = off.insert(line, st, InsertPosition::Mru);
-                        assert_eq!(a, b, "eviction diverged at step {step}");
-                    }
-                }
-                _ => {
-                    assert_eq!(on.invalidate(line), off.invalidate(line));
-                }
-            }
-            assert_eq!(on.valid_lines(), off.valid_lines());
-        }
-        // Full-state comparison at the end: every resident line, state,
-        // and victim ordering matches.
-        let a: Vec<_> = on.iter_valid().collect();
-        let b: Vec<_> = off.iter_valid().collect();
-        assert_eq!(a, b);
-        for set_line in 0..4u64 {
-            let l = LineAddr::new(set_line);
-            assert_eq!(on.victim_candidates(l, 8), off.victim_candidates(l, 8));
-        }
-    }
-
-    #[test]
     fn stale_hint_never_lies() {
         // Hit a line (hint points at it), invalidate it, re-insert a
         // *different* line into the same way, then probe the old line:
-        // the stale hint must be rejected by tag compare.
+        // the stale hint must be rejected by tag compare. Line 128 is in
+        // line 0's set with tag 32, which shares tag 0's presence-filter
+        // bit, so the probe of line 0 gets past the filter to the hint.
         let mut t = small();
-        t.insert(LineAddr::new(0), 1, InsertPosition::Mru);
-        assert!(t.probe(LineAddr::new(0)).is_some());
-        let way = t.probe(LineAddr::new(0)).unwrap().0;
-        t.invalidate(LineAddr::new(0));
-        assert!(t.probe(LineAddr::new(0)).is_none());
-        t.insert_into(LineAddr::new(8), way, 2, InsertPosition::Mru);
-        assert!(t.probe(LineAddr::new(0)).is_none());
-        assert_eq!(t.probe(LineAddr::new(8)).unwrap().1, 2);
+        let (old, new) = (LineAddr::new(0), LineAddr::new(32 << 2));
+        t.insert(old, 1, InsertPosition::Mru);
+        let way = t.probe(old).unwrap().0;
+        t.invalidate(old);
+        assert!(t.probe(old).is_none());
+        t.insert_into(new, way, 2, InsertPosition::Mru);
+        assert!(t.probe(old).is_none());
+        assert_eq!(t.probe(new), Some((way, 2)));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Bit-packed tag-array backend: one `u64` word per line, hot state
+//! The bit-packed tag array: one `u64` word per line, hot state
 //! struct-of-arrays.
 //!
 //! # Word layout
@@ -20,8 +20,8 @@
 //!
 //! Recency stamps live in a **separate** `Box<[u64]>` epoch array, not
 //! in the word: a stamp needs the full 64-bit monotone counter to keep
-//! the oracle's exact tie-break ordering (stamps survive invalidation
-//! and are compared across the whole set, including invalid ways), and
+//! an exact tie-break ordering (stamps survive invalidation and are
+//! compared across the whole set, including invalid ways), and
 //! keeping them out of the word means the probe loop never loads them.
 //!
 //! A per-set **presence filter** (`u32` signature: the OR of
@@ -38,7 +38,7 @@ use std::marker::PhantomData;
 
 use cmpsim_engine::SplitMix64;
 
-use super::{plru, Evicted, InsertPosition, PackedState, TagStorage, WayIdx, NO_HINT};
+use super::{plru, Evicted, InsertPosition, PackedState, WayIdx, NO_HINT};
 use crate::{CacheGeometry, GeometryError, LineAddr, ReplacementPolicy};
 
 /// Line-address width the packed word must be able to tag (48-bit
@@ -63,7 +63,7 @@ pub const fn packed_fits(state_bits: u32, num_sets: u64) -> bool {
 
 /// One packed line word: `valid | state | tag` (see the module docs for
 /// the layout). The field boundaries depend on the state type's
-/// [`PackedState::BITS`], so decoding lives on [`PackedTagArray`]; this
+/// [`PackedState::BITS`], so decoding lives on [`TagArray`]; this
 /// wrapper exists to name the format and pin its size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(transparent)]
@@ -88,19 +88,18 @@ impl PackedLine {
 
 /// A set-associative tag array storing each line as one packed `u64`.
 ///
-/// Same semantics as [`GenericTagArray`](super::GenericTagArray) —
-/// probe scan order, recency stamps, victim tie-breaks, the
-/// deterministic Random rng stream, and way-memoization hints are all
-/// identical by construction (the randomized mirror test in
-/// `tests/mirror.rs` enforces it) — but the per-way storage is a
-/// single word, laid out struct-of-arrays with per-set contiguous
-/// ways, so the probe loop touches `assoc × 8` contiguous bytes.
+/// The per-way storage is a single word, laid out struct-of-arrays with
+/// per-set contiguous ways, so the probe loop touches `assoc × 8`
+/// contiguous bytes. Probe results, recency stamps, victim tie-breaks
+/// and the deterministic Random rng stream match a plain
+/// one-struct-per-way reference model (the randomized mirror tests in
+/// `tests/mirror.rs` enforce it).
 ///
 /// Requires `S:`[`PackedState`] and a geometry accepted by
-/// [`packed_fits`]; payloads too wide to pack use the generic backend
-/// (see [`WideHistoryTable`](crate::WideHistoryTable)).
+/// [`packed_fits`]; payloads too wide to pack sit beside a tag-only
+/// array in a [`HistoryTable`](crate::HistoryTable).
 #[derive(Debug, Clone)]
-pub struct PackedTagArray<S> {
+pub struct TagArray<S> {
     geom: CacheGeometry,
     policy: ReplacementPolicy,
     /// One [`PackedLine`] word per line, `set * assoc + way` indexed.
@@ -129,10 +128,6 @@ pub struct PackedTagArray<S> {
     /// which is all the parallel sweep driver needs (each worker builds
     /// its own systems).
     way_hint: Box<[Cell<u32>]>,
-    /// Consult the hint on probes? Always updated, consulted only when
-    /// `true`; tests flip it off to prove probe/LRU behaviour is
-    /// identical either way.
-    memo: bool,
     /// `num_sets - 1`, cached off the hot path's `geom` indirection.
     set_mask: u64,
     /// `log2(num_sets)`: how many low line-address bits the tag drops.
@@ -142,7 +137,7 @@ pub struct PackedTagArray<S> {
     _state: PhantomData<S>,
 }
 
-impl<S: PackedState> PackedTagArray<S> {
+impl<S: PackedState> TagArray<S> {
     /// Tag field width: whatever the word has left after valid + state.
     const TAG_BITS: u32 = 63 - S::BITS;
     /// Valid flag (bit 63).
@@ -179,7 +174,7 @@ impl<S: PackedState> PackedTagArray<S> {
             );
         }
         let n = geom.num_lines() as usize;
-        Ok(PackedTagArray {
+        Ok(TagArray {
             geom,
             policy,
             words: vec![PackedLine::default(); n].into_boxed_slice(),
@@ -190,7 +185,6 @@ impl<S: PackedState> PackedTagArray<S> {
             rng: SplitMix64::new(0xCAFE_F00D),
             valid_count: 0,
             way_hint: vec![Cell::new(NO_HINT); geom.num_sets() as usize].into_boxed_slice(),
-            memo: true,
             set_mask: geom.num_sets() - 1,
             set_shift: geom.num_sets().trailing_zeros(),
             assoc: geom.assoc() as usize,
@@ -207,13 +201,6 @@ impl<S: PackedState> PackedTagArray<S> {
     /// non-power-of-two associativity.
     pub fn new(geom: CacheGeometry, policy: ReplacementPolicy) -> Self {
         Self::try_new(geom, policy).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Enables or disables the way-memoization fast path (on by
-    /// default). Probe results, recency stamps, and victim choices are
-    /// identical either way — tests flip this to prove it.
-    pub fn set_way_memo(&mut self, on: bool) {
-        self.memo = on;
     }
 
     /// The geometry this array was built with.
@@ -303,13 +290,11 @@ impl<S: PackedState> PackedTagArray<S> {
         }
         let base = set * self.assoc;
         let want = Self::VALID | tag;
-        if self.memo {
-            let h = self.way_hint[set].get() as usize;
-            if h < self.assoc {
-                let w = self.words[base + h];
-                if w.raw() & Self::MATCH_MASK == want {
-                    return Some((base + h, Self::state_of(w)));
-                }
+        let h = self.way_hint[set].get() as usize;
+        if h < self.assoc {
+            let w = self.words[base + h];
+            if w.raw() & Self::MATCH_MASK == want {
+                return Some((base + h, Self::state_of(w)));
             }
         }
         for (i, w) in self.words[base..base + self.assoc].iter().enumerate() {
@@ -378,10 +363,7 @@ impl<S: PackedState> PackedTagArray<S> {
             self.probe(line).is_none(),
             "insert of already-present line {line}"
         );
-        let way = match self.invalid_way(line) {
-            Some(w) => w,
-            None => self.victim_way(line),
-        };
+        let way = self.way_to_fill(line);
         self.fill_way(line, way, state, pos)
     }
 
@@ -480,6 +462,13 @@ impl<S: PackedState> PackedTagArray<S> {
         }
     }
 
+    /// The way [`insert`](Self::insert) fills for `line`: the first
+    /// invalid way in its set, else the replacement policy's victim.
+    pub fn way_to_fill(&mut self, line: LineAddr) -> WayIdx {
+        self.invalid_way(line)
+            .unwrap_or_else(|| self.victim_way(line))
+    }
+
     /// First invalid way in the line's set, if any.
     pub fn invalid_way(&self, line: LineAddr) -> Option<WayIdx> {
         let range = self.set_range(line);
@@ -492,14 +481,15 @@ impl<S: PackedState> PackedTagArray<S> {
 
     /// The way the replacement policy would victimize in this line's set
     /// (assumes the set has at least one valid way; invalid ways are
-    /// preferred by [`insert`](Self::insert) before this is consulted).
+    /// preferred by [`way_to_fill`](Self::way_to_fill) before this is
+    /// consulted).
     pub fn victim_way(&mut self, line: LineAddr) -> WayIdx {
         let range = self.set_range(line);
         let base = range.start;
         match self.policy {
             ReplacementPolicy::Lru => {
-                // Scans *all* ways' stamps (invalid ways keep theirs) —
-                // identical tie-breaking to the generic oracle.
+                // Scans *all* ways' stamps (invalid ways keep theirs);
+                // ties go to the lowest way.
                 let mut best = base;
                 let mut best_stamp = u64::MAX;
                 for (i, &s) in self.stamps[range].iter().enumerate() {
@@ -557,7 +547,7 @@ impl<S: PackedState> PackedTagArray<S> {
     }
 
     /// Removes a line, returning its state if it was present. The way's
-    /// recency stamp is kept (matching the generic oracle's tie-breaks).
+    /// recency stamp is kept, so it still takes part in LRU tie-breaks.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<S> {
         let set = (line.raw() & self.set_mask) as usize;
         let tag = line.raw() >> self.set_shift;
@@ -593,39 +583,5 @@ impl<S: PackedState> PackedTagArray<S> {
             .enumerate()
             .filter(|(_, w)| w.is_valid())
             .map(|(i, w)| (self.line_of(i), Self::state_of(*w)))
-    }
-}
-
-impl<S: PackedState + std::fmt::Debug> TagStorage<S> for PackedTagArray<S> {
-    fn try_new(geom: CacheGeometry, policy: ReplacementPolicy) -> Result<Self, GeometryError> {
-        PackedTagArray::try_new(geom, policy)
-    }
-
-    fn geometry(&self) -> CacheGeometry {
-        PackedTagArray::geometry(self)
-    }
-
-    fn valid_lines(&self) -> u64 {
-        PackedTagArray::valid_lines(self)
-    }
-
-    fn probe(&self, line: LineAddr) -> Option<(WayIdx, S)> {
-        PackedTagArray::probe(self, line)
-    }
-
-    fn touch(&mut self, line: LineAddr) -> bool {
-        PackedTagArray::touch(self, line)
-    }
-
-    fn update_state(&mut self, line: LineAddr, f: impl FnOnce(&mut S)) -> bool {
-        PackedTagArray::update_state(self, line, f)
-    }
-
-    fn insert(&mut self, line: LineAddr, state: S, pos: InsertPosition) -> Option<Evicted<S>> {
-        PackedTagArray::insert(self, line, state, pos)
-    }
-
-    fn invalidate(&mut self, line: LineAddr) -> Option<S> {
-        PackedTagArray::invalidate(self, line)
     }
 }

@@ -1,24 +1,209 @@
-//! Differential oracle for the packed tag-array backend.
+//! Differential tests for the packed tag array.
 //!
-//! Drives [`PackedTagArray`] and [`GenericTagArray`] through identical
-//! randomized probe/touch/insert/insert_into/update_state/invalidate
-//! sequences and asserts identical probe results, victims, recency
-//! orderings, and evicted payloads for all three replacement policies —
-//! plus the satellite regressions: stale way-hints on both backends and
-//! geometry extremes under the packed word-layout rules.
+//! Drives [`TagArray`] and a test-only [`Reference`] model through
+//! identical randomized probe/touch/insert/insert_into/update_state/
+//! invalidate sequences and asserts identical probe results, victims,
+//! recency orderings, and evicted payloads for all three replacement
+//! policies — plus regressions for stale way-hints and geometry extremes
+//! under the packed word-layout rules.
 
 use cmpsim_cache::{
-    packed_fits, CacheGeometry, GenericTagArray, GeometryError, InsertPosition, LineAddr,
-    PackedLine, PackedTagArray, ReplacementPolicy, PACKED_LINE_ADDR_BITS,
+    packed_fits, CacheGeometry, Evicted, GeometryError, InsertPosition, LineAddr, PackedLine,
+    ReplacementPolicy, TagArray, PACKED_LINE_ADDR_BITS,
 };
 use cmpsim_engine::SplitMix64;
 
+/// The semantics [`TagArray`] must keep, written the plain way: one
+/// `Option<(line, state)>` and one full-width recency stamp per way, its
+/// own tree-PLRU walk, and the same `SplitMix64(0xCAFE_F00D)` stream for
+/// Random victims. No packing, no presence filter, no way hints — it
+/// shares no code with the array under test.
+struct Reference<S> {
+    policy: ReplacementPolicy,
+    sets: u64,
+    assoc: usize,
+    ways: Vec<Option<(LineAddr, S)>>,
+    /// Per-way recency stamp; kept across invalidation, and every way's
+    /// stamp (valid or not) takes part in the LRU victim choice.
+    stamps: Vec<u64>,
+    /// Per-set tree-PLRU node bits: bit `n` set = node `n`'s victim
+    /// path points right; node `n`'s children are `2n+1` and `2n+2`.
+    plru: Vec<u64>,
+    clock: u64,
+    rng: SplitMix64,
+}
+
+impl<S: Copy> Reference<S> {
+    fn new(geom: CacheGeometry, policy: ReplacementPolicy) -> Self {
+        let n = geom.num_lines() as usize;
+        Reference {
+            policy,
+            sets: geom.num_sets(),
+            assoc: geom.assoc() as usize,
+            ways: vec![None; n],
+            stamps: vec![0; n],
+            plru: vec![0; geom.num_sets() as usize],
+            clock: 0,
+            rng: SplitMix64::new(0xCAFE_F00D),
+        }
+    }
+
+    fn set(&self, line: LineAddr) -> usize {
+        (line.raw() % self.sets) as usize
+    }
+
+    fn ways_of(&self, line: LineAddr) -> std::ops::Range<usize> {
+        let base = self.set(line) * self.assoc;
+        base..base + self.assoc
+    }
+
+    fn probe(&self, line: LineAddr) -> Option<(usize, S)> {
+        self.ways_of(line).find_map(|w| {
+            self.ways[w]
+                .filter(|&(l, _)| l == line)
+                .map(|(_, s)| (w, s))
+        })
+    }
+
+    fn valid_lines(&self) -> u64 {
+        self.ways.iter().flatten().count() as u64
+    }
+
+    fn iter_valid(&self) -> impl Iterator<Item = (LineAddr, S)> + '_ {
+        self.ways.iter().flatten().copied()
+    }
+
+    /// Points every tree node on the path to `way` away from it.
+    fn plru_touch(&mut self, set: usize, way: usize) {
+        let levels = self.assoc.trailing_zeros();
+        let mut node = 0;
+        for level in (0..levels).rev() {
+            let right = (way >> level) & 1 == 1;
+            if right {
+                self.plru[set] &= !(1 << node);
+            } else {
+                self.plru[set] |= 1 << node;
+            }
+            node = 2 * node + 1 + right as usize;
+        }
+    }
+
+    fn plru_victim(&self, set: usize) -> usize {
+        let (mut node, mut way) = (0, 0);
+        for _ in 0..self.assoc.trailing_zeros() {
+            let right = (self.plru[set] >> node) & 1 == 1;
+            way = (way << 1) | right as usize;
+            node = 2 * node + 1 + right as usize;
+        }
+        way
+    }
+
+    fn touch(&mut self, line: LineAddr) -> bool {
+        let Some((way, _)) = self.probe(line) else {
+            return false;
+        };
+        self.clock += 1;
+        self.stamps[way] = self.clock;
+        if self.policy == ReplacementPolicy::TreePlru {
+            let set = self.set(line);
+            self.plru_touch(set, way - set * self.assoc);
+        }
+        true
+    }
+
+    fn update_state(&mut self, line: LineAddr, f: impl FnOnce(&mut S)) -> bool {
+        let Some((way, _)) = self.probe(line) else {
+            return false;
+        };
+        if let Some((_, s)) = &mut self.ways[way] {
+            f(s);
+        }
+        true
+    }
+
+    fn invalid_way(&self, line: LineAddr) -> Option<usize> {
+        self.ways_of(line).find(|&w| self.ways[w].is_none())
+    }
+
+    fn victim_way(&mut self, line: LineAddr) -> usize {
+        let ways = self.ways_of(line);
+        match self.policy {
+            // Lowest stamp over every way; the first such way on a tie.
+            ReplacementPolicy::Lru => ways.min_by_key(|&w| (self.stamps[w], w)).unwrap(),
+            ReplacementPolicy::TreePlru => ways.start + self.plru_victim(self.set(line)),
+            ReplacementPolicy::Random => {
+                ways.start + self.rng.gen_range(self.assoc as u64) as usize
+            }
+        }
+    }
+
+    /// Mru takes a fresh stamp; Lru sits just under the set's oldest
+    /// valid stamp; Mid takes the midpoint of the valid stamps (a fresh
+    /// stamp in an empty set). Computed before the fill, so a valid
+    /// occupant being replaced still counts.
+    fn insert_stamp(&mut self, line: LineAddr, pos: InsertPosition) -> u64 {
+        let valid = self.ways_of(line).filter(|&w| self.ways[w].is_some());
+        let lo = valid.clone().map(|w| self.stamps[w]).min();
+        let hi = valid.map(|w| self.stamps[w]).max();
+        match (pos, lo, hi) {
+            (InsertPosition::Lru, Some(lo), _) => lo.saturating_sub(1),
+            (InsertPosition::Lru, None, _) => 0,
+            (InsertPosition::Mid, Some(lo), Some(hi)) => lo / 2 + hi / 2,
+            _ => {
+                self.clock += 1;
+                self.clock
+            }
+        }
+    }
+
+    fn insert_into(
+        &mut self,
+        line: LineAddr,
+        way: usize,
+        state: S,
+        pos: InsertPosition,
+    ) -> Option<Evicted<S>> {
+        let stamp = self.insert_stamp(line, pos);
+        let old = self.ways[way].replace((line, state));
+        self.stamps[way] = stamp;
+        if self.policy == ReplacementPolicy::TreePlru && pos == InsertPosition::Mru {
+            let set = self.set(line);
+            self.plru_touch(set, way - set * self.assoc);
+        }
+        old.map(|(line, state)| Evicted { line, state })
+    }
+
+    fn insert(&mut self, line: LineAddr, state: S, pos: InsertPosition) -> Option<Evicted<S>> {
+        let way = match self.invalid_way(line) {
+            Some(w) => w,
+            None => self.victim_way(line),
+        };
+        self.insert_into(line, way, state, pos)
+    }
+
+    fn invalidate(&mut self, line: LineAddr) -> Option<S> {
+        let (way, _) = self.probe(line)?;
+        self.ways[way].take().map(|(_, s)| s)
+    }
+
+    /// The `k` valid ways of `line`'s set in victim order (oldest stamp
+    /// first, lower way on a tie).
+    fn victim_candidates(&self, line: LineAddr, k: usize) -> Vec<(usize, LineAddr)> {
+        let mut ways: Vec<_> = self
+            .ways_of(line)
+            .filter_map(|w| self.ways[w].map(|(l, _)| (self.stamps[w], w, l)))
+            .collect();
+        ways.sort_unstable();
+        ways.into_iter().take(k).map(|(_, w, l)| (w, l)).collect()
+    }
+}
+
 /// One randomized mirror run: every operation must produce the same
-/// observable result on both backends, and the final resident state
-/// (lines, payloads, victim orderings) must match exactly.
+/// observable result on the array and the reference, and the final
+/// resident state (lines, payloads, victim orderings) must match exactly.
 fn mirror_run(policy: ReplacementPolicy, geom: CacheGeometry, line_space: u64, seed: u64) {
-    let mut p: PackedTagArray<u8> = PackedTagArray::new(geom, policy);
-    let mut g: GenericTagArray<u8> = GenericTagArray::new(geom, policy);
+    let mut p: TagArray<u8> = TagArray::new(geom, policy);
+    let mut g: Reference<u8> = Reference::new(geom, policy);
     let mut rng = SplitMix64::new(seed);
     for step in 0..30_000u64 {
         let line = LineAddr::new(rng.gen_range(line_space));
@@ -49,7 +234,7 @@ fn mirror_run(policy: ReplacementPolicy, geom: CacheGeometry, line_space: u64, s
                     } else {
                         InsertPosition::Lru
                     };
-                    let wp = p.invalid_way(line).unwrap_or_else(|| p.victim_way(line));
+                    let wp = p.way_to_fill(line);
                     let wg = g.invalid_way(line).unwrap_or_else(|| g.victim_way(line));
                     assert_eq!(wp, wg, "victim way @ {step}");
                     // The chosen way may hold a different line; only
@@ -109,8 +294,8 @@ fn mirror_tree_plru() {
 
 #[test]
 fn mirror_random() {
-    // Both backends consume the same seeded SplitMix64 stream only on
-    // Random victim selection, so the streams stay in lockstep.
+    // Array and reference consume the same seeded SplitMix64 stream only
+    // on Random victim selection, so the streams stay in lockstep.
     let geom = CacheGeometry::new(4096, 8, 128).unwrap();
     mirror_run(ReplacementPolicy::Random, geom, 64, 0xBAD5_EED5);
 }
@@ -123,42 +308,41 @@ fn mirror_wider_geometry() {
     mirror_run(ReplacementPolicy::Lru, geom, 4096, 0x0DDC_0FFE);
 }
 
-/// Satellite regression: a way-hint that survives an `invalidate` +
-/// re-`insert` of a *different* tag into the same way must never
-/// short-circuit to a wrong hit — on either backend.
+/// Regression: a way-hint that survives an `invalidate` + re-`insert`
+/// of a *different* tag into the same way must never short-circuit to
+/// a wrong hit; the hint-free reference says what a probe must return.
 #[test]
 fn stale_hint_after_reuse_never_lies() {
-    macro_rules! check {
-        ($t:expr) => {{
-            let t = &mut $t;
-            let a = LineAddr::new(0); // set 0
-            let b = LineAddr::new(8); // same set (8 sets x 2 ways)
-            t.insert(a, 1, InsertPosition::Mru);
-            assert!(t.probe(a).is_some()); // seeds the hint with a's way
-            let way = t.probe(a).unwrap().0;
-            t.invalidate(a);
-            // A *different* tag now occupies the hinted way.
-            t.insert_into(b, way, 9, InsertPosition::Mru);
-            assert_eq!(t.probe(a), None, "stale hint returned a wrong hit");
-            assert_eq!(t.probe(b).map(|(_, s)| s), Some(9));
-        }};
-    }
-
     let geom = CacheGeometry::new(2048, 2, 128).unwrap(); // 8 sets x 2 ways
-    let mut p: PackedTagArray<u8> = PackedTagArray::new(geom, ReplacementPolicy::Lru);
-    check!(p);
-    let mut g: GenericTagArray<u8> = GenericTagArray::new(geom, ReplacementPolicy::Lru);
-    check!(g);
+    let mut t: TagArray<u8> = TagArray::new(geom, ReplacementPolicy::Lru);
+    let mut r: Reference<u8> = Reference::new(geom, ReplacementPolicy::Lru);
+    // `a` is set 0, tag 0. `b` is in the same set, and its tag 32 shares
+    // tag 0's presence-filter bit, so the probe of `a` gets past the
+    // filter to the hint.
+    let a = LineAddr::new(0);
+    let b = LineAddr::new(32 << 3);
+    t.insert(a, 1, InsertPosition::Mru);
+    r.insert(a, 1, InsertPosition::Mru);
+    let way = t.probe(a).unwrap().0; // seeds the hint with a's way
+    t.invalidate(a);
+    r.invalidate(a);
+    // A *different* tag now occupies the hinted way.
+    t.insert_into(b, way, 9, InsertPosition::Mru);
+    r.insert_into(b, way, 9, InsertPosition::Mru);
+    assert_eq!(t.probe(a), None, "stale hint returned a wrong hit");
+    for line in [a, b] {
+        assert_eq!(t.probe(line), r.probe(line), "probe of {line}");
+    }
 }
 
-// --- geometry extremes under the packed layout (satellite) -------------
+// --- geometry extremes under the packed layout ---------------------------
 
 #[test]
 fn direct_mapped_1_way() {
     // 1-way: every set is a single word; insert always replaces.
     let geom = CacheGeometry::new(1024, 1, 128).unwrap(); // 8 sets x 1 way
     mirror_run(ReplacementPolicy::Lru, geom, 64, 0xD1CE_0001);
-    let mut t: PackedTagArray<u8> = PackedTagArray::new(geom, ReplacementPolicy::Lru);
+    let mut t: TagArray<u8> = TagArray::new(geom, ReplacementPolicy::Lru);
     t.insert(LineAddr::new(0), 1, InsertPosition::Mru);
     let ev = t.insert(LineAddr::new(8), 2, InsertPosition::Mru).unwrap();
     assert_eq!(ev.line, LineAddr::new(0));
@@ -176,8 +360,8 @@ fn max_associativity_single_set() {
 
 #[test]
 fn non_power_of_two_sets_rejected_by_geometry() {
-    // The packed backend never sees a non-power-of-two set count: every
-    // route to one is rejected by CacheGeometry before any backend is
+    // The packed array never sees a non-power-of-two set count: every
+    // route to one is rejected by CacheGeometry before any array is
     // built (set indexing is a mask; tag packing drops exactly
     // log2(num_sets) bits).
     assert!(matches!(
@@ -213,22 +397,22 @@ fn packed_fits_boundary() {
 fn oversized_tag_geometry_rejected_at_construction() {
     // 16 state bits + 1 set = 48 needed tag bits > 47 available.
     let geom = CacheGeometry::new(4096, 32, 128).unwrap(); // 1 set
-    match PackedTagArray::<u16>::try_new(geom, ReplacementPolicy::Lru) {
+    match TagArray::<u16>::try_new(geom, ReplacementPolicy::Lru) {
         Err(GeometryError::PackedTagOverflow {
             state_bits: 16,
             num_sets: 1,
         }) => {}
         other => panic!("expected PackedTagOverflow, got {other:?}"),
     }
-    // The generic backend has no such limit.
-    assert!(GenericTagArray::<u16>::try_new(geom, ReplacementPolicy::Lru).is_ok());
+    // A tag-only array (a history table's tag half) fits any geometry.
+    assert!(TagArray::<()>::try_new(geom, ReplacementPolicy::Lru).is_ok());
 }
 
 #[test]
 #[should_panic(expected = "packed tag word overflow")]
 fn oversized_tag_geometry_panics_in_new() {
     let geom = CacheGeometry::new(4096, 32, 128).unwrap();
-    let _ = PackedTagArray::<u16>::new(geom, ReplacementPolicy::Lru);
+    let _ = TagArray::<u16>::new(geom, ReplacementPolicy::Lru);
 }
 
 #[test]
@@ -236,7 +420,7 @@ fn line_addresses_up_to_packed_width_roundtrip() {
     // The largest supported line address must store and reconstruct
     // exactly (tag reconstruction = stored tag bits ‖ set index).
     let geom = CacheGeometry::new(4096, 8, 128).unwrap(); // 4 sets
-    let mut t: PackedTagArray<u8> = PackedTagArray::new(geom, ReplacementPolicy::Lru);
+    let mut t: TagArray<u8> = TagArray::new(geom, ReplacementPolicy::Lru);
     let top = LineAddr::new((1u64 << PACKED_LINE_ADDR_BITS) - 1);
     t.insert(top, 0xAB, InsertPosition::Mru);
     assert_eq!(t.probe(top).map(|(_, s)| s), Some(0xAB));
@@ -247,8 +431,7 @@ fn line_addresses_up_to_packed_width_roundtrip() {
 #[test]
 fn layout_size_assertions() {
     // The packed word is exactly 8 bytes; per-line hot state is the
-    // word plus one epoch stamp (16 bytes/line total vs the generic
-    // backend's padded struct).
+    // word plus one epoch stamp (16 bytes/line total).
     assert_eq!(std::mem::size_of::<PackedLine>(), 8);
     assert_eq!(std::mem::align_of::<PackedLine>(), 8);
 }

@@ -10,17 +10,16 @@ use cmpsim_trace::ThreadId;
 use crate::policy::{PolicyConfig, RetrySwitchConfig};
 
 // The paper geometries are static, so check them against the packed tag
-// word at compile time (3 L2 state bits, 1 L3 state bit, tag-only /
-// use-bit history tables); a state enum growing past its bit budget
-// fails the build here instead of at first construction. Dynamically
-// scaled geometries (--scale, --entries) are covered by the runtime
-// check in `PackedTagArray::try_new`.
+// word at compile time (3 L2 state bits, 1 L3 state bit, tag-only
+// history tables); a state enum growing past its bit budget fails the
+// build here instead of at first construction. Dynamically scaled
+// geometries (--scale, --entries) are covered by the runtime check in
+// `TagArray::try_new`.
 const _: () = {
     use cmpsim_cache::packed_fits;
     assert!(packed_fits(3, 512 * 1024 / 128 / 8)); // L2 slice · L2State
     assert!(packed_fits(1, 4 * 1024 * 1024 / 128 / 16)); // L3 slice · L3State
-    assert!(packed_fits(0, 32 * 1024 / 16)); // WBHT (tag-only)
-    assert!(packed_fits(1, 32 * 1024 / 16)); // snarf table (use bit)
+    assert!(packed_fits(0, 32 * 1024 / 16)); // history tables (tag-only)
     assert!(packed_fits(3, 16 * 1024 / 128 / 8)); // smallest --scale L2 slice
     assert!(packed_fits(0, 4 * 1024 / 128 / 4)); // smallest --scale L1
 };

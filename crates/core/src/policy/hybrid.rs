@@ -21,7 +21,7 @@
 //! single-writer ownership invariants of the base protocol are
 //! untouched because update-mode stores never take the line Modified.
 
-use cmpsim_cache::{GeometryError, LineAddr, WideHistoryTable};
+use cmpsim_cache::{GeometryError, HistoryTable, LineAddr};
 use cmpsim_engine::Cycle;
 
 /// Configuration of the hybrid update/invalidate mode table.
@@ -102,7 +102,7 @@ pub enum CoherenceAction {
 /// Chip-wide hybrid update/invalidate mode table.
 #[derive(Debug, Clone)]
 pub struct HybridUpdateInvalidate {
-    table: WideHistoryTable<Entry>,
+    table: HistoryTable<Entry>,
     cfg: HybridConfig,
     stats: HybridStats,
 }
@@ -111,7 +111,7 @@ impl HybridUpdateInvalidate {
     /// Builds the mode table (all lines start in invalidate mode).
     pub fn new(cfg: HybridConfig) -> Result<Self, GeometryError> {
         Ok(HybridUpdateInvalidate {
-            table: WideHistoryTable::new(cfg.entries, cfg.assoc)?,
+            table: HistoryTable::new(cfg.entries, cfg.assoc)?,
             cfg,
             stats: HybridStats::default(),
         })

@@ -19,7 +19,7 @@
 //! a cold predictor degrades to baseline behaviour rather than dropping
 //! live lines.
 
-use cmpsim_cache::{GeometryError, LineAddr, WideHistoryTable};
+use cmpsim_cache::{GeometryError, HistoryTable, LineAddr};
 
 /// Configuration of the reuse-distance copy-back predictor (per L2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +69,7 @@ struct Entry {
 /// One L2's sampled reuse-distance predictor.
 #[derive(Debug, Clone)]
 pub struct ReuseDistanceCopyBack {
-    table: WideHistoryTable<Entry>,
+    table: HistoryTable<Entry>,
     cfg: RdcbConfig,
     /// Local miss-count clock; advanced by the owning L2's misses.
     clock: u64,
@@ -80,7 +80,7 @@ impl ReuseDistanceCopyBack {
     /// Builds a predictor; `entries`/`assoc` follow history-table rules.
     pub fn new(cfg: RdcbConfig) -> Result<Self, GeometryError> {
         Ok(ReuseDistanceCopyBack {
-            table: WideHistoryTable::new(cfg.entries, cfg.assoc)?,
+            table: HistoryTable::new(cfg.entries, cfg.assoc)?,
             cfg,
             clock: 0,
             stats: RdcbStats::default(),

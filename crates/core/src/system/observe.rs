@@ -407,7 +407,7 @@ mod tests {
         cfg.l3_organization = L3Organization::PrivatePerL2;
         let mut sys = System::with_source(
             cfg,
-            Box::new(cmpsim_trace::TracePlayback::new("idle", vec![], 16, 1)),
+            Box::new(cmpsim_trace::TracePlayback::new("idle", vec![], 16, 1).unwrap()),
         )
         .unwrap();
         assert_eq!(sys.private_l3s.len(), 4);

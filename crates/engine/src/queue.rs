@@ -4,9 +4,9 @@
 //! simulator's access pattern (pushes cluster within a few hundred
 //! cycles of "now"): a ring of per-cycle FIFO buckets absorbs the near
 //! future at O(1) push/pop, and a far-future overflow heap catches the
-//! rare long-delay event. `legacy::HeapEventQueue` (cfg-gated on tests
-//! and the `legacy-heap` feature) keeps the original
-//! binary-heap implementation as a differential oracle for tests.
+//! rare long-delay event. A unit test replays random schedules against
+//! a plain `BinaryHeap` over `(time, push sequence)` to pin the pop
+//! order.
 
 use std::collections::VecDeque;
 
@@ -254,116 +254,12 @@ impl<T> Default for EventQueue<T> {
     }
 }
 
-/// The original binary-heap event queue, kept as a differential oracle:
-/// property tests drive it and [`EventQueue`] with identical schedules
-/// and assert identical pop sequences. Compiled only for tests or under
-/// the `legacy-heap` feature.
-#[cfg(any(test, feature = "legacy-heap"))]
-pub mod legacy {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    use crate::Cycle;
-
-    /// The pre-calendar [`EventQueue`](super::EventQueue): a binary
-    /// heap over `(time, push sequence)`.
-    #[derive(Debug)]
-    pub struct HeapEventQueue<T> {
-        heap: BinaryHeap<Reverse<Entry<T>>>,
-        seq: u64,
-        last_popped: Cycle,
-        high_water: usize,
-    }
-
-    #[derive(Debug)]
-    struct Entry<T> {
-        time: Cycle,
-        seq: u64,
-        payload: T,
-    }
-
-    impl<T> PartialEq for Entry<T> {
-        fn eq(&self, other: &Self) -> bool {
-            self.time == other.time && self.seq == other.seq
-        }
-    }
-    impl<T> Eq for Entry<T> {}
-    impl<T> PartialOrd for Entry<T> {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<T> Ord for Entry<T> {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            (self.time, self.seq).cmp(&(other.time, other.seq))
-        }
-    }
-
-    impl<T> HeapEventQueue<T> {
-        /// Creates an empty queue.
-        pub fn new() -> Self {
-            HeapEventQueue {
-                heap: BinaryHeap::new(),
-                seq: 0,
-                last_popped: 0,
-                high_water: 0,
-            }
-        }
-
-        /// Schedules `payload` at absolute time `time`.
-        pub fn push(&mut self, time: Cycle, payload: T) {
-            debug_assert!(time >= self.last_popped, "event scheduled in the past");
-            let seq = self.seq;
-            self.seq += 1;
-            self.heap.push(Reverse(Entry { time, seq, payload }));
-            self.high_water = self.high_water.max(self.heap.len());
-        }
-
-        /// Removes and returns the earliest event, or `None` when empty.
-        pub fn pop(&mut self) -> Option<(Cycle, T)> {
-            let Reverse(e) = self.heap.pop()?;
-            self.last_popped = e.time;
-            Some((e.time, e.payload))
-        }
-
-        /// Returns the earliest pending time without removing it.
-        pub fn peek_time(&self) -> Option<Cycle> {
-            self.heap.peek().map(|Reverse(e)| e.time)
-        }
-
-        /// Number of pending events.
-        pub fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        /// `true` when no events are pending.
-        pub fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
-
-        /// The timestamp of the most recently popped event.
-        pub fn now(&self) -> Cycle {
-            self.last_popped
-        }
-
-        /// Peak number of pending events observed.
-        pub fn high_water(&self) -> usize {
-            self.high_water
-        }
-    }
-
-    impl<T> Default for HeapEventQueue<T> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::legacy::HeapEventQueue;
     use super::*;
     use crate::SplitMix64;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn pops_in_time_order() {
@@ -502,16 +398,21 @@ mod tests {
     }
 
     /// Differential property test: random interleaved push/pop schedules
-    /// must pop in identical order from the calendar queue and the
-    /// legacy heap oracle. Seeded `SplitMix64` keeps it reproducible.
+    /// must pop in identical order from the calendar queue and a binary
+    /// heap over `(time, push sequence, payload)`, whose sequence number
+    /// makes same-time pops FIFO. Seeded `SplitMix64` keeps it
+    /// reproducible.
     #[test]
-    fn differential_vs_legacy_heap() {
+    fn differential_vs_binary_heap() {
         for seed in 0..8u64 {
             let mut rng = SplitMix64::new(0xD1FF ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let mut cal: EventQueue<u64> = EventQueue::new();
-            let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+            let mut heap: BinaryHeap<Reverse<(Cycle, u64, u64)>> = BinaryHeap::new();
+            let heap_pop = |heap: &mut BinaryHeap<Reverse<(Cycle, u64, u64)>>| {
+                heap.pop().map(|Reverse((t, _, payload))| (t, payload))
+            };
             let mut now: Cycle = 0;
-            let mut tag: u64 = 0;
+            let mut seq: u64 = 0;
             for step in 0..20_000u64 {
                 if rng.gen_range(100) < 60 || cal.is_empty() {
                     // Push: mostly near-future, occasionally far past the
@@ -524,25 +425,26 @@ mod tests {
                     // Bursts of same-time events stress FIFO ordering.
                     let burst = 1 + rng.gen_range(4);
                     for _ in 0..burst {
-                        cal.push(now + delta, tag);
-                        heap.push(now + delta, tag);
-                        tag += 1;
+                        // The push sequence doubles as the payload.
+                        cal.push(now + delta, seq);
+                        heap.push(Reverse((now + delta, seq, seq)));
+                        seq += 1;
                     }
                 } else {
                     let a = cal.pop();
-                    let b = heap.pop();
+                    let b = heap_pop(&mut heap);
                     assert_eq!(a, b, "divergence at step {step} (seed {seed})");
                     if let Some((t, _)) = a {
                         now = t;
                     }
                 }
                 assert_eq!(cal.len(), heap.len());
-                assert_eq!(cal.peek_time(), heap.peek_time());
+                assert_eq!(cal.peek_time(), heap.peek().map(|Reverse((t, ..))| *t));
             }
             // Drain both completely.
             loop {
                 let a = cal.pop();
-                let b = heap.pop();
+                let b = heap_pop(&mut heap);
                 assert_eq!(a, b, "drain divergence (seed {seed})");
                 if a.is_none() {
                     break;

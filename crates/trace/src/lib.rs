@@ -36,5 +36,5 @@ mod synth;
 
 pub use presets::{CacheScale, Workload};
 pub use record::{MemOp, ThreadId, TraceRecord};
-pub use source::{ReferenceSource, TracePlayback};
+pub use source::{ReferenceSource, ThreadOutOfRange, TracePlayback};
 pub use synth::{SegmentMix, SyntheticWorkload, WorkloadError, WorkloadParams};

@@ -1,6 +1,8 @@
 //! Reference sources: where the simulator's memory references come from.
 
 use std::collections::VecDeque;
+use std::error::Error;
+use std::fmt;
 
 use crate::{SyntheticWorkload, ThreadId, TraceRecord};
 
@@ -51,10 +53,11 @@ impl ReferenceSource for SyntheticWorkload {
 ///     TraceRecord::new(ThreadId::new(0), MemOp::Load, Addr::new(0)),
 ///     TraceRecord::new(ThreadId::new(0), MemOp::Store, Addr::new(128)),
 /// ];
-/// let mut p = TracePlayback::new("demo", recs, 1, 1);
+/// let mut p = TracePlayback::new("demo", recs, 1, 1)?;
 /// assert_eq!(p.next_record(ThreadId::new(0)).addr.raw(), 0);
 /// assert_eq!(p.next_record(ThreadId::new(0)).addr.raw(), 128);
 /// assert_eq!(p.next_record(ThreadId::new(0)).addr.raw(), 0); // wrapped
+/// # Ok::<(), cmpsim_trace::ThreadOutOfRange>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct TracePlayback {
@@ -65,12 +68,43 @@ pub struct TracePlayback {
     wraps: u64,
 }
 
+/// A trace record names a thread the configured machine does not have.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ThreadOutOfRange {
+    /// Position of the offending record in the trace (0-based).
+    pub index: usize,
+    /// The thread the record names.
+    pub thread: ThreadId,
+    /// Threads in the configuration (valid ids are `0..threads`).
+    pub threads: u16,
+}
+
+impl fmt::Display for ThreadOutOfRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "trace record {} names thread {}, but the configuration has {} threads (ids 0-{})",
+            self.index,
+            self.thread.index(),
+            self.threads,
+            self.threads.saturating_sub(1)
+        )
+    }
+}
+
+impl Error for ThreadOutOfRange {}
+
 impl TracePlayback {
     /// Builds a playback source from raw records.
     ///
     /// Records are partitioned by their thread id; threads with no
     /// records in the trace replay an idle load of address 0 (so the
     /// simulator's thread model stays uniform).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ThreadOutOfRange`] for the first record whose thread is
+    /// not below `threads`: such a record could never be replayed.
     ///
     /// # Panics
     ///
@@ -80,23 +114,28 @@ impl TracePlayback {
         records: Vec<TraceRecord>,
         threads: u16,
         issue_interval: u64,
-    ) -> Self {
+    ) -> Result<Self, ThreadOutOfRange> {
         assert!(threads > 0, "playback needs at least one thread");
         assert!(issue_interval > 0, "issue interval must be nonzero");
         let mut per_thread: Vec<VecDeque<TraceRecord>> =
             (0..threads).map(|_| VecDeque::new()).collect();
-        for r in records {
-            if (r.thread.index()) < per_thread.len() {
-                per_thread[r.thread.index()].push_back(r);
-            }
+        for (index, r) in records.into_iter().enumerate() {
+            let Some(q) = per_thread.get_mut(r.thread.index()) else {
+                return Err(ThreadOutOfRange {
+                    index,
+                    thread: r.thread,
+                    threads,
+                });
+            };
+            q.push_back(r);
         }
-        TracePlayback {
+        Ok(TracePlayback {
             name: name.into(),
             cursors: vec![0; per_thread.len()],
             per_thread,
             issue_interval,
             wraps: 0,
-        }
+        })
     }
 
     /// How many times any thread's stream wrapped around.
@@ -143,7 +182,8 @@ mod tests {
 
     #[test]
     fn partitions_by_thread() {
-        let mut p = TracePlayback::new("t", vec![rec(0, 0), rec(1, 128), rec(0, 256)], 2, 1);
+        let mut p =
+            TracePlayback::new("t", vec![rec(0, 0), rec(1, 128), rec(0, 256)], 2, 1).unwrap();
         assert_eq!(p.next_record(ThreadId::new(1)).addr.raw(), 128);
         assert_eq!(p.next_record(ThreadId::new(0)).addr.raw(), 0);
         assert_eq!(p.next_record(ThreadId::new(0)).addr.raw(), 256);
@@ -151,7 +191,7 @@ mod tests {
 
     #[test]
     fn wraps_and_counts() {
-        let mut p = TracePlayback::new("t", vec![rec(0, 0), rec(0, 128)], 1, 1);
+        let mut p = TracePlayback::new("t", vec![rec(0, 0), rec(0, 128)], 1, 1).unwrap();
         for _ in 0..5 {
             p.next_record(ThreadId::new(0));
         }
@@ -160,12 +200,30 @@ mod tests {
 
     #[test]
     fn idle_threads_spin() {
-        let mut p = TracePlayback::new("t", vec![rec(0, 0)], 4, 2);
+        let mut p = TracePlayback::new("t", vec![rec(0, 0)], 4, 2).unwrap();
         let r = p.next_record(ThreadId::new(3));
         assert_eq!(r.addr.raw(), 0);
         assert!(!r.op.is_store());
         assert_eq!(p.issue_interval(), 2);
         assert_eq!(p.name(), "t");
+    }
+
+    #[test]
+    fn thread_outside_the_configuration_is_rejected() {
+        let recs = vec![rec(0, 0), rec(1, 128), rec(2, 256), rec(1, 384)];
+        let err = TracePlayback::new("t", recs, 2, 1).unwrap_err();
+        assert_eq!(
+            err,
+            ThreadOutOfRange {
+                index: 2,
+                thread: ThreadId::new(2),
+                threads: 2
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "trace record 2 names thread 2, but the configuration has 2 threads (ids 0-1)"
+        );
     }
 
     #[test]

@@ -9,8 +9,9 @@ cargo build --release
 
 echo "==> cargo test --workspace -q"
 # Every crate's suite, not only the root package's: per-crate unit and
-# integration tests (among them the cmpsim-cache packed-vs-generic
-# mirror suite and its static layout assertions) run here too.
+# integration tests (among them the cmpsim-cache mirror suite, which
+# diffs the packed tag array against a test-only reference model, and
+# its static layout assertions) run here too.
 cargo test --workspace -q
 
 echo "==> cargo fmt --check"
@@ -86,26 +87,10 @@ for pol in baseline wbht snarf combined rdcb hybrid wbht+hybrid; do
     fi
 done
 
-echo "==> legacy-tags differential oracle smoke (generic vs packed build)"
-# A whole-build diff: the simulator compiled on the generic tag-array
-# backend must emit byte-identical JSON to the default packed build.
-# Separate target-dir so the feature flip doesn't thrash the main cache.
-cargo build --release --features legacy-tags --bin cmpsim \
-    --target-dir target/legacy-tags --quiet
-legacy_ref=$(mktemp)
-./target/release/cmpsim --policy combined --refs 2000 --seed 42 --json > "$legacy_ref"
-if ! ./target/legacy-tags/release/cmpsim --policy combined --refs 2000 --seed 42 --json \
-    | diff -q - "$legacy_ref" >/dev/null; then
-    rm -f "$legacy_ref"
-    echo "verify: FAILED — legacy-tags (generic) build diverged from the packed build" >&2
-    exit 1
-fi
-rm -f "$legacy_ref"
-
-echo "==> policy face-off harness gate (exp_policy_faceoff --check)"
+echo "==> policy face-off harness gate (exp policy-faceoff --check)"
 # Every contender must complete, the new policies must populate their
 # report sections, and the span attribution must record fills.
-CMPSIM_PROFILE=smoke ./target/release/exp_policy_faceoff --check
+CMPSIM_PROFILE=smoke ./target/release/exp policy-faceoff --check
 
 echo "==> live telemetry stream smoke (profile_report + telemetry_tail)"
 # End to end: a --jobs 2 grid serves frames on a Unix socket while a
@@ -129,20 +114,20 @@ fi
 rm -f "$tel_sock"
 
 echo "==> parallel experiment driver is a pure wall-clock optimization"
-# Smoke-profile exp_all serial vs parallel: identical numbers, and the
+# Smoke-profile `exp all` serial vs parallel: identical numbers, and the
 # parallel run must actually be parallel (faster on multi-core hosts).
 smoke_serial=$(mktemp)
 smoke_par=$(mktemp)
 trap 'rm -f "$smoke_serial" "$smoke_par"' EXIT
 t0=$(date +%s.%N)
-CMPSIM_PROFILE=smoke ./target/release/exp_all --jobs 1 > "$smoke_serial"
+CMPSIM_PROFILE=smoke ./target/release/exp all --jobs 1 > "$smoke_serial"
 t1=$(date +%s.%N)
-CMPSIM_PROFILE=smoke ./target/release/exp_all --jobs "$(nproc)" > "$smoke_par"
+CMPSIM_PROFILE=smoke ./target/release/exp all --jobs "$(nproc)" > "$smoke_par"
 t2=$(date +%s.%N)
 # Per-experiment wall-clock lines differ by construction; strip them.
 if ! diff <(grep -v '^(.*s)$' "$smoke_serial") <(grep -v '^(.*s)$' "$smoke_par") >/dev/null; then
     diff <(grep -v '^(.*s)$' "$smoke_serial") <(grep -v '^(.*s)$' "$smoke_par") | head -20 >&2
-    echo "verify: FAILED — exp_all --jobs $(nproc) diverged from --jobs 1" >&2
+    echo "verify: FAILED — exp all --jobs $(nproc) diverged from --jobs 1" >&2
     exit 1
 fi
 serial_s=$(echo "$t1 $t0" | awk '{printf "%.1f", $1 - $2}')

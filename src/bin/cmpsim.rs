@@ -344,7 +344,8 @@ fn real_main() -> Result<(), String> {
         Some(path) => {
             let data = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
             let records = trace_file::read_trace(&data[..]).map_err(|e| format!("{path}: {e}"))?;
-            let playback = TracePlayback::new(path.clone(), records, cfg.num_threads(), 1);
+            let playback = TracePlayback::new(path.clone(), records, cfg.num_threads(), 1)
+                .map_err(|e| format!("{path}: {e}"))?;
             System::with_source(cfg.clone(), Box::new(playback)).map_err(|e| e.to_string())?
         }
         None => {

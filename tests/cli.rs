@@ -4,6 +4,9 @@
 
 use std::process::{Command, Output};
 
+use cmp_hierarchies::cache::Addr;
+use cmp_hierarchies::trace::{file, MemOp, ThreadId, TraceRecord};
+
 fn cmpsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cmpsim"))
         .args(args)
@@ -54,4 +57,30 @@ fn valid_core_count_runs() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("\"refs\":1600"));
+}
+
+#[test]
+fn trace_naming_threads_past_the_configuration_is_rejected() {
+    // Threads 16-31 on the default 16-thread machine, half of them
+    // stores: replaying it must fail, not silently spin every thread on
+    // an idle load.
+    let records: Vec<_> = (0..1_000u64)
+        .map(|i| {
+            let op = if i % 2 == 0 {
+                MemOp::Load
+            } else {
+                MemOp::Store
+            };
+            TraceRecord::new(ThreadId::new(16 + (i % 16) as u16), op, Addr::new(i * 128))
+        })
+        .collect();
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("threads_16_to_31.trc");
+    let mut buf = Vec::new();
+    file::write_trace(&mut buf, &records).unwrap();
+    std::fs::write(&path, buf).unwrap();
+    let trace = path.to_str().unwrap();
+    assert_rejected(
+        &["--trace", trace, "-n", "2000", "--json"],
+        &["trace record 0", "thread 16", "has 16 threads"],
+    );
 }

@@ -77,7 +77,7 @@ impl Scenario {
         let mut cfg = SystemConfig::scaled(16);
         cfg.policy = policy;
         cfg.max_outstanding = 1; // strictly ordered per-thread execution
-        let playback = TracePlayback::new("scenario", self.records.clone(), 16, 1);
+        let playback = TracePlayback::new("scenario", self.records.clone(), 16, 1).unwrap();
         let mut sys = System::with_source(cfg, Box::new(playback)).unwrap();
         sys.run(self.refs_per_thread);
         sys.assert_invariants();
@@ -239,7 +239,7 @@ fn private_l3_keeps_castouts_out_of_the_ring() {
         let missing = 600u64.saturating_sub(counts[t as usize]);
         s.idle(t, missing);
     }
-    let playback = TracePlayback::new("scenario", s.records.clone(), 16, 1);
+    let playback = TracePlayback::new("scenario", s.records.clone(), 16, 1).unwrap();
     let mut sys = System::with_source(cfg, Box::new(playback)).unwrap();
     sys.run(600);
     let stats = sys.stats();

@@ -255,7 +255,7 @@ fn wbht_granularity_trades_coverage_for_errors() {
     );
     // Accuracy stays in a sane band. (The paper predicted coarse
     // entries would raise the error rate; on spatially dense working
-    // sets the opposite holds — see exp_ext_granularity — so the test
+    // sets the opposite holds — see `exp ext-granularity` — so the test
     // pins only the mechanism, not the sign.)
     assert!((0.2..=1.0).contains(&coarse.wbht.correct_rate()));
 }

@@ -21,7 +21,7 @@ fn recorded_trace_replays_deterministically() {
     assert_eq!(loaded, records);
 
     let run = |records: Vec<_>| {
-        let playback = TracePlayback::new("cpw2-trace", records, 16, 1);
+        let playback = TracePlayback::new("cpw2-trace", records, 16, 1).unwrap();
         let mut sys = System::with_source(cfg.clone(), Box::new(playback)).unwrap();
         sys.run(1_500)
     };
@@ -39,7 +39,7 @@ fn playback_wraps_short_traces() {
     let mut gen = SyntheticWorkload::new(params, 7).unwrap();
     // Only 100 records per thread, but the run wants 500: wraps.
     let records = gen.generate(1_600);
-    let playback = TracePlayback::new("short", records, 16, 1);
+    let playback = TracePlayback::new("short", records, 16, 1).unwrap();
     let mut sys = System::with_source(cfg, Box::new(playback)).unwrap();
     let stats = sys.run(500);
     assert_eq!(stats.refs, 500 * 16);
@@ -54,7 +54,7 @@ fn playback_and_synthetic_agree_on_reference_stream() {
     let mut live = SyntheticWorkload::new(params.clone(), 5).unwrap();
     let mut recorder = SyntheticWorkload::new(params, 5).unwrap();
     let records = recorder.generate(160);
-    let mut playback = TracePlayback::new("tp", records, 16, 1);
+    let mut playback = TracePlayback::new("tp", records, 16, 1).unwrap();
     for i in 0..160 {
         let t = ThreadId::new((i % 16) as u16);
         assert_eq!(playback.next_record(t), live.next_record(t));
