@@ -41,7 +41,7 @@
 
 use std::time::Instant;
 
-use cmp_adaptive_wb::{PolicyConfig, SnarfConfig, System, SystemConfig, UpdateScope, WbhtConfig};
+use cmp_adaptive_wb::{PolicyConfig, System, SystemConfig, UpdateScope};
 use cmpsim_engine::profiler::HostProfiler;
 use cmpsim_engine::stream::TelemetryStream;
 use cmpsim_engine::telemetry::DEFAULT_INTERVAL;
@@ -85,33 +85,9 @@ fn config_for(scale: u64, policy: &str) -> SystemConfig {
         SystemConfig::scaled(scale)
     };
     cfg.seed = SEED;
-    let entries = (32 * 1024 / scale.max(1)).max(256);
-    cfg.policy = match policy {
-        "baseline" => PolicyConfig::baseline(),
-        "wbht" => PolicyConfig::wbht(WbhtConfig {
-            entries,
-            assoc: 16,
-            scope: UpdateScope::Local,
-            granularity: 1,
-        }),
-        "snarf" => PolicyConfig::snarf(SnarfConfig {
-            entries,
-            ..Default::default()
-        }),
-        "combined" => PolicyConfig::combined(
-            WbhtConfig {
-                entries: (entries / 2).max(256),
-                assoc: 16,
-                scope: UpdateScope::Local,
-                granularity: 1,
-            },
-            SnarfConfig {
-                entries: (entries / 2).max(256),
-                ..Default::default()
-            },
-        ),
-        other => panic!("unknown policy {other}"),
-    };
+    let entries = PolicyConfig::scaled_entries(scale);
+    cfg.policy = PolicyConfig::parse(policy, entries, UpdateScope::Local, 1)
+        .unwrap_or_else(|e| panic!("pinned case: {e}"));
     cfg
 }
 

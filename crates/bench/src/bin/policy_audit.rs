@@ -16,7 +16,7 @@
 //! Scale follows `CMPSIM_PROFILE` (quick / full / smoke) like the
 //! experiment binaries; `--jobs N` bounds worker threads.
 
-use cmp_adaptive_wb::{DecisionAuditSummary, PolicyConfig, RunReport, SnarfConfig, WbhtConfig};
+use cmp_adaptive_wb::{DecisionAuditSummary, PolicyConfig, RunReport, UpdateScope};
 use cmpsim_bench::{parallel_runs, Profile};
 use cmpsim_trace::Workload;
 
@@ -28,19 +28,9 @@ fn combined_spec(
 ) -> cmp_adaptive_wb::RunSpec {
     let mut cfg = p.config();
     cfg.max_outstanding = pressure;
-    let half = (p.table_entries(32 * 1024) / 2).max(256);
-    cfg.policy = PolicyConfig::combined(
-        WbhtConfig {
-            entries: half,
-            assoc: 16,
-            scope: cmp_adaptive_wb::UpdateScope::Local,
-            granularity: 1,
-        },
-        SnarfConfig {
-            entries: half,
-            ..Default::default()
-        },
-    );
+    let entries = p.table_entries(32 * 1024);
+    cfg.policy =
+        PolicyConfig::parse("combined", entries, UpdateScope::Local, 1).expect("known policy");
     let mut spec = p.spec(cfg, wl);
     spec.audit = audit;
     spec

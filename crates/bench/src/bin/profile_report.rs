@@ -21,7 +21,7 @@
 //! first frame. `--check` exits non-zero unless aggregate attribution
 //! coverage is at least 95%.
 
-use cmp_adaptive_wb::{PolicyConfig, RunReport, SnarfConfig, UpdateScope, WbhtConfig};
+use cmp_adaptive_wb::{PolicyConfig, RunReport, UpdateScope};
 use cmpsim_bench::{run_grid, Profile, Table};
 use cmpsim_engine::profiler::{HostProfiler, HostStage, TIMED_STAGES};
 use cmpsim_engine::stream::TelemetryStream;
@@ -95,35 +95,11 @@ fn usage(msg: &str) -> ! {
 /// with all four write-back policies.
 fn grid(p: &Profile) -> Vec<(Workload, PolicyConfig)> {
     let entries = p.table_entries(32 * 1024);
-    let half = (entries / 2).max(256);
-    let wbht = WbhtConfig {
-        entries,
-        assoc: 16,
-        scope: UpdateScope::Local,
-        granularity: 1,
-    };
-    let snarf = SnarfConfig {
-        entries,
-        ..Default::default()
-    };
     let mut cells = Vec::new();
     for wl in [Workload::Trade2, Workload::Cpw2] {
-        for policy in [
-            PolicyConfig::baseline(),
-            PolicyConfig::wbht(wbht),
-            PolicyConfig::snarf(snarf),
-            PolicyConfig::combined(
-                WbhtConfig {
-                    entries: half,
-                    ..wbht
-                },
-                SnarfConfig {
-                    entries: half,
-                    ..snarf
-                },
-            ),
-        ] {
-            cells.push((wl, policy));
+        for spec in ["baseline", "wbht", "snarf", "combined"] {
+            let policy = PolicyConfig::parse(spec, entries, UpdateScope::Local, 1);
+            cells.push((wl, policy.expect("known policy")));
         }
     }
     cells

@@ -14,14 +14,14 @@
 //!   the starting point for any tail-latency investigation.
 //!
 //! ```sh
-//! span_report [--workload tp|cpw2|notesbench|trade2] [--policy NAME]
+//! span_report [--workload tp|cpw2|notesbench|trade2] [--policy NAME[+NAME...]]
 //!             [--refs N] [--scale N] [--sample N] [--top N]
 //! ```
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use cmp_adaptive_wb::{run, PolicyConfig, RetrySwitchConfig, RunSpec, SystemConfig};
+use cmp_adaptive_wb::{run, PolicyConfig, RetrySwitchConfig, RunSpec, SystemConfig, UpdateScope};
 use cmpsim_engine::spans::{SpanRecord, SpanTracer};
 use cmpsim_engine::telemetry::FillSource;
 use cmpsim_trace::Workload;
@@ -50,15 +50,11 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
             "--workload" | "-w" => {
-                args.workload = match value("--workload")?.to_lowercase().as_str() {
-                    "tp" => Workload::Tp,
-                    "cpw2" => Workload::Cpw2,
-                    "notesbench" | "nb" => Workload::NotesBench,
-                    "trade2" => Workload::Trade2,
-                    other => return Err(format!("unknown workload {other}")),
-                }
+                let name = value("--workload")?;
+                args.workload =
+                    Workload::from_name(&name).ok_or_else(|| format!("unknown workload {name}"))?;
             }
-            "--policy" | "-p" => args.policy = value("--policy")?.to_lowercase(),
+            "--policy" | "-p" => args.policy = value("--policy")?,
             "--refs" | "-n" => args.refs = parse_num(&value("--refs")?)?,
             "--scale" => args.scale = parse_num(&value("--scale")?)?.max(1),
             "--sample" => args.sample = parse_num(&value("--sample")?)?.max(1),
@@ -115,13 +111,14 @@ fn real_main() -> Result<(), String> {
     } else {
         SystemConfig::scaled(args.scale)
     };
-    cfg.policy = match args.policy.as_str() {
-        "baseline" => PolicyConfig::baseline(),
-        "wbht" => PolicyConfig::wbht(Default::default()),
-        "snarf" => PolicyConfig::snarf(Default::default()),
-        "combined" => PolicyConfig::combined(Default::default(), Default::default()),
-        other => return Err(format!("unknown policy {other}")),
-    };
+    // Tables scale with the caches, as in `cmpsim` without --entries.
+    cfg.policy = PolicyConfig::parse(
+        &args.policy,
+        PolicyConfig::scaled_entries(args.scale),
+        UpdateScope::Local,
+        1,
+    )
+    .map_err(|e| e.to_string())?;
     let mut spec = RunSpec::for_workload(cfg, args.workload, args.refs);
     spec.retry_switch = Some(RetrySwitchConfig::scaled(args.scale));
     spec.span_tracer = SpanTracer::sampled(args.sample);

@@ -1,32 +1,56 @@
-//! `trace-stats` — offline analysis of synthetic or recorded traces:
+//! `trace_stats` — offline analysis of synthetic or recorded traces:
 //! footprint, sharing, store mix, reuse-distance curve, and predicted
 //! LRU hit rates at the modelled cache capacities.
 //!
 //! ```sh
-//! trace-stats [workload] [records]      # synthetic (default trade2, 200k)
-//! trace-stats --file trace.bin          # recorded CMPTRC01 trace
+//! trace_stats [WORKLOAD [RECORDS]]   # synthetic (default trade2, 200000)
+//! trace_stats --file TRACE           # recorded CMPTRC01 trace
 //! ```
+//!
+//! Bad arguments exit 2 with the usage; an unreadable or malformed
+//! `--file` exits 1 naming the path and the error.
+
+use std::process::ExitCode;
 
 use cmpsim_trace::analysis::{profile, ReuseDistances};
-use cmpsim_trace::{file, CacheScale, SyntheticWorkload, Workload};
+use cmpsim_trace::{file, CacheScale, SyntheticWorkload, TraceRecord, Workload};
 
-fn main() {
+const USAGE: &str = "usage: trace_stats [tp|cpw2|notesbench|nb|trade2 [RECORDS]]
+       trace_stats --file TRACE";
+
+/// The records to profile; `Err` carries the exit code for bad input.
+fn records(args: &[String]) -> Result<Vec<TraceRecord>, ExitCode> {
+    if let [flag, path] = args {
+        if flag == "--file" {
+            let data = std::fs::read(path).map_err(|e| e.to_string());
+            return data
+                .and_then(|d| file::read_trace(&d[..]).map_err(|e| e.to_string()))
+                .map_err(|e| {
+                    eprintln!("trace_stats: {path}: {e}");
+                    ExitCode::FAILURE
+                });
+        }
+    }
+    let (name, n) = match args {
+        [] => ("trade2", "200000"),
+        [name] => (name.as_str(), "200000"),
+        [name, n] => (name.as_str(), n.as_str()),
+        _ => ("", ""),
+    };
+    let (Some(wl), Ok(n)) = (Workload::from_name(name), n.parse()) else {
+        eprintln!("{USAGE}");
+        return Err(ExitCode::from(2));
+    };
+    let params = wl.params(16, CacheScale::scaled(8));
+    let mut g = SyntheticWorkload::new(params, 2026).expect("valid preset");
+    Ok(g.generate(n))
+}
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let records = if args.first().map(|s| s.as_str()) == Some("--file") {
-        let path = args.get(1).expect("--file needs a path");
-        let data = std::fs::read(path).expect("readable trace file");
-        file::read_trace(&data[..]).expect("valid CMPTRC01 trace")
-    } else {
-        let wl = match args.first().map(|s| s.to_lowercase()) {
-            Some(ref s) if s == "tp" => Workload::Tp,
-            Some(ref s) if s == "cpw2" => Workload::Cpw2,
-            Some(ref s) if s == "notesbench" => Workload::NotesBench,
-            _ => Workload::Trade2,
-        };
-        let n: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(200_000);
-        let params = wl.params(16, CacheScale::scaled(8));
-        let mut g = SyntheticWorkload::new(params, 2026).expect("valid preset");
-        g.generate(n)
+    let records = match records(&args) {
+        Ok(records) => records,
+        Err(code) => return code,
     };
 
     let p = profile(&records, 128, 4);
@@ -65,4 +89,5 @@ fn main() {
     ] {
         println!("  {label:<18} {:>5.1}%", rd.hit_rate_at(lines) * 100.0);
     }
+    ExitCode::SUCCESS
 }

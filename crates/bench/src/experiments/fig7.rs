@@ -11,8 +11,8 @@ use crate::Profile;
 
 /// Runs the sweep and renders percentage improvements per pressure.
 pub fn run(p: &Profile) -> String {
-    let half = (default_entries(p) / 2).max(256);
-    pressure_sweep(p, |p, n| combined_cfg(p, n, half)).render()
+    let entries = default_entries(p);
+    pressure_sweep(p, |p, n| combined_cfg(p, n, entries)).render()
 }
 
 #[cfg(test)]

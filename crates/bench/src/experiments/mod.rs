@@ -20,9 +20,7 @@ pub mod table4;
 pub mod table5;
 pub mod workloads_profile;
 
-use cmp_adaptive_wb::{
-    HybridConfig, PolicyConfig, RdcbConfig, SnarfConfig, SystemConfig, UpdateScope, WbhtConfig,
-};
+use cmp_adaptive_wb::{PolicyConfig, SystemConfig, UpdateScope};
 use cmpsim_trace::Workload;
 
 use crate::Profile;
@@ -163,6 +161,20 @@ pub(crate) fn base_cfg(p: &Profile, pressure: u32) -> SystemConfig {
     c
 }
 
+/// A system running the policy `spec` (see [`PolicyConfig::parse`])
+/// with `entries`-entry tables.
+fn parsed_cfg(
+    p: &Profile,
+    pressure: u32,
+    spec: &str,
+    entries: u64,
+    scope: UpdateScope,
+) -> SystemConfig {
+    let mut c = base_cfg(p, pressure);
+    c.policy = PolicyConfig::parse(spec, entries, scope, 1).expect("known policy");
+    c
+}
+
 /// WBHT system (paper default 32K entries unless overridden).
 pub(crate) fn wbht_cfg(
     p: &Profile,
@@ -170,62 +182,28 @@ pub(crate) fn wbht_cfg(
     entries: u64,
     scope: UpdateScope,
 ) -> SystemConfig {
-    let mut c = base_cfg(p, pressure);
-    c.policy = PolicyConfig::wbht(WbhtConfig {
-        entries,
-        assoc: 16,
-        scope,
-        granularity: 1,
-    });
-    c
+    parsed_cfg(p, pressure, "wbht", entries, scope)
 }
 
 /// Snarf system.
 pub(crate) fn snarf_cfg(p: &Profile, pressure: u32, entries: u64) -> SystemConfig {
-    let mut c = base_cfg(p, pressure);
-    c.policy = PolicyConfig::snarf(SnarfConfig {
-        entries,
-        ..Default::default()
-    });
-    c
+    parsed_cfg(p, pressure, "snarf", entries, UpdateScope::Local)
 }
 
-/// Combined system (two half-sized tables, §5.3).
-pub(crate) fn combined_cfg(p: &Profile, pressure: u32, half_entries: u64) -> SystemConfig {
-    let mut c = base_cfg(p, pressure);
-    c.policy = PolicyConfig::combined(
-        WbhtConfig {
-            entries: half_entries,
-            assoc: 16,
-            scope: UpdateScope::Local,
-            granularity: 1,
-        },
-        SnarfConfig {
-            entries: half_entries,
-            ..Default::default()
-        },
-    );
-    c
+/// Combined system: the `entries` budget split into two half-sized
+/// tables (§5.3).
+pub(crate) fn combined_cfg(p: &Profile, pressure: u32, entries: u64) -> SystemConfig {
+    parsed_cfg(p, pressure, "combined", entries, UpdateScope::Local)
 }
 
 /// Reuse-distance copy-back system.
 pub(crate) fn rdcb_cfg(p: &Profile, pressure: u32, entries: u64) -> SystemConfig {
-    let mut c = base_cfg(p, pressure);
-    c.policy = PolicyConfig::rdcb(RdcbConfig {
-        entries,
-        ..Default::default()
-    });
-    c
+    parsed_cfg(p, pressure, "rdcb", entries, UpdateScope::Local)
 }
 
 /// Hybrid update/invalidate coherence system.
 pub(crate) fn hybrid_cfg(p: &Profile, pressure: u32, entries: u64) -> SystemConfig {
-    let mut c = base_cfg(p, pressure);
-    c.policy = PolicyConfig::hybrid(HybridConfig {
-        entries,
-        ..Default::default()
-    });
-    c
+    parsed_cfg(p, pressure, "hybrid", entries, UpdateScope::Local)
 }
 
 /// Scaled paper-default table size (32K at full scale).
@@ -359,7 +337,8 @@ mod tests {
         assert!(wbht_cfg(&p, 6, 1024, UpdateScope::Local).policy.has_wbht());
         assert!(snarf_cfg(&p, 6, 1024).policy.has_snarf());
         let c = combined_cfg(&p, 6, 2048);
-        assert!(c.policy.has_wbht() && c.policy.has_snarf());
+        assert_eq!(c.policy.wbht.unwrap().entries, 1024);
+        assert_eq!(c.policy.snarf.unwrap().entries, 1024);
     }
 
     #[test]

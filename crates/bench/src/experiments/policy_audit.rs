@@ -13,12 +13,12 @@ use crate::{parallel_runs, Profile, Table};
 
 /// Runs the experiment and renders the three quality tables.
 pub fn run(p: &Profile) -> String {
-    let half = (default_entries(p) / 2).max(256);
+    let entries = default_entries(p);
     let pressures: Vec<u32> = (1..=6).collect();
     let mut specs = Vec::new();
     for &wl in &workloads() {
         for &n in &pressures {
-            let mut spec = p.spec(combined_cfg(p, n, half), wl);
+            let mut spec = p.spec(combined_cfg(p, n, entries), wl);
             spec.audit = true;
             specs.push(spec);
         }

@@ -1,6 +1,5 @@
 //! Whole-system configuration.
 
-use cmpsim_cache::GeometryError;
 use cmpsim_coherence::L2Id;
 use cmpsim_engine::Cycle;
 use cmpsim_mem::{L3Config, MemoryConfig};
@@ -8,6 +7,7 @@ use cmpsim_ring::RingConfig;
 use cmpsim_trace::ThreadId;
 
 use crate::policy::{PolicyConfig, RetrySwitchConfig};
+use crate::system::SystemError;
 
 // The paper geometries are static, so check them against the packed tag
 // word at compile time (3 L2 state bits, 1 L3 state bit, tag-only
@@ -40,6 +40,30 @@ pub enum L3Organization {
     /// serves only its own L2's misses.
     PrivatePerL2,
 }
+
+/// A core count the chip cannot be built with: each L2 serves one core
+/// pair, so the cores must be a positive multiple of 2 and `num_l2`
+/// exactly half of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoreCountError {
+    /// The configured cores.
+    pub cores: u8,
+    /// The configured L2 count.
+    pub num_l2: u8,
+}
+
+impl std::fmt::Display for CoreCountError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "cores must be a positive multiple of 2 with one L2 per core pair, \
+             got {} cores and {} L2s",
+            self.cores, self.num_l2
+        )
+    }
+}
+
+impl std::error::Error for CoreCountError {}
 
 /// L1 cache configuration (private per core, write-through).
 ///
@@ -225,19 +249,32 @@ impl SystemConfig {
     /// a 32- or 64-core chip puts proportionally more L2 agents on the
     /// snooped ring.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `cores` is not a positive multiple of 2 (an L2 serves
-    /// a core pair).
-    pub fn with_cores(cores: u8) -> Self {
-        assert!(
-            cores >= 2 && cores.is_multiple_of(2),
-            "cores must be a positive multiple of 2 (one L2 per core pair), got {cores}"
-        );
+    /// Returns a [`CoreCountError`] if `cores` is not a positive
+    /// multiple of 2 (an L2 serves a core pair).
+    pub fn with_cores(cores: u8) -> Result<Self, CoreCountError> {
         let mut c = Self::paper();
         c.cores = cores;
         c.num_l2 = cores / 2;
-        c
+        c.check_cores()?;
+        Ok(c)
+    }
+
+    /// Checks that the cores pair up onto the L2s.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CoreCountError`] naming both counts otherwise.
+    pub fn check_cores(&self) -> Result<(), CoreCountError> {
+        if self.cores >= 2 && self.cores.is_multiple_of(2) && self.num_l2 == self.cores / 2 {
+            Ok(())
+        } else {
+            Err(CoreCountError {
+                cores: self.cores,
+                num_l2: self.num_l2,
+            })
+        }
     }
 
     /// Total hardware threads.
@@ -279,8 +316,11 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`GeometryError`] when a cache geometry is invalid.
-    pub fn validate(&self) -> Result<(), GeometryError> {
+    /// Returns [`SystemError::Cores`] when the cores do not pair up onto
+    /// the L2s, and [`SystemError::Geometry`] when a cache geometry is
+    /// invalid.
+    pub fn validate(&self) -> Result<(), SystemError> {
+        self.check_cores().map_err(SystemError::Cores)?;
         cmpsim_cache::SlicedGeometry::new(
             self.l2_slices,
             self.l2_slice_bytes,
@@ -343,7 +383,7 @@ mod tests {
     #[test]
     fn scaled_out_topologies_are_valid() {
         for cores in [2, 8, 16, 32, 64] {
-            let c = SystemConfig::with_cores(cores);
+            let c = SystemConfig::with_cores(cores).unwrap();
             assert!(c.validate().is_ok(), "{cores} cores");
             assert_eq!(c.num_threads(), cores as u16 * 2);
             assert_eq!(c.num_l2, cores / 2);
@@ -358,9 +398,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multiple of 2")]
     fn odd_core_count_rejected() {
-        let _ = SystemConfig::with_cores(7);
+        for cores in [0, 7] {
+            let e = SystemConfig::with_cores(cores).unwrap_err();
+            assert_eq!((e.cores, e.num_l2), (cores, cores / 2));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_cores_that_disagree_with_the_l2s() {
+        let mut c = SystemConfig::paper();
+        c.num_l2 = 3;
+        assert!(matches!(c.validate(), Err(SystemError::Cores(_))));
+        assert_eq!(
+            c.check_cores().unwrap_err().to_string(),
+            "cores must be a positive multiple of 2 with one L2 per core pair, \
+             got 8 cores and 3 L2s"
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod policy;
 mod runner;
 pub mod system;
 
-pub use config::{L1Config, L3Organization, SystemConfig};
+pub use config::{CoreCountError, L1Config, L3Organization, SystemConfig};
 pub use policy::{
     HybridConfig, PolicyConfig, RdcbConfig, RetrySwitchConfig, SnarfConfig, UpdateScope, WbhtConfig,
 };

@@ -1,9 +1,9 @@
-//! The adaptive cache-management policies and the pluggable framework
-//! they ride on.
+//! The adaptive cache-management policies and the stack that holds
+//! them.
 //!
 //! The paper's two mechanisms and two rivals from the related work are
-//! all [`CachePolicy`] implementations dispatched through a
-//! [`PolicyStack`] (see [`framework`](self)):
+//! held, each when configured, by the [`PolicyStack`] the pipeline
+//! dispatches through (hook table in `framework.rs`):
 //!
 //! * **WBHT** ([`WbhtConfig`], §2) — filters redundant clean
 //!   write-backs with per-L2 history tables, gated by the retry-rate
@@ -17,8 +17,10 @@
 //!   Rosonke, arXiv:1502.00101) — adaptively completes stores to
 //!   shared lines as updates instead of invalidations.
 //!
-//! [`PolicyConfig`] selects any combination; the paper's configurations
-//! are the [`PolicyConfig::wbht`]/[`PolicyConfig::snarf`]/
+//! [`PolicyConfig`] selects any combination, and
+//! [`PolicyConfig::parse`] reads one from a `--policy` spec such as
+//! `wbht+hybrid`; the paper's configurations are the
+//! [`PolicyConfig::wbht`]/[`PolicyConfig::snarf`]/
 //! [`PolicyConfig::combined`] corners.
 
 mod framework;
@@ -28,14 +30,30 @@ mod retry_switch;
 mod snarf;
 mod wbht;
 
-pub use framework::{
-    CachePolicy, CastoutCtx, CastoutDecision, PolicyCaps, PolicyStack, ResponseCtx,
-};
+pub use framework::{CastoutCtx, CastoutDecision, PolicyStack, ResponseCtx};
 pub use hybrid::{CoherenceAction, HybridConfig, HybridStats, HybridUpdateInvalidate};
 pub use rdcb::{RdcbConfig, RdcbStats, ReuseDistanceCopyBack};
 pub use retry_switch::{RetrySwitch, RetrySwitchConfig};
 pub use snarf::{SnarfConfig, SnarfStats, SnarfTable};
 pub use wbht::{UpdateScope, Wbht, WbhtConfig, WbhtStats};
+
+/// A policy spec named a mechanism [`PolicyConfig::parse`] does not
+/// know.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownPolicy(pub String);
+
+impl std::fmt::Display for UnknownPolicy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "unknown policy {} (expected base|baseline|wbht|snarf|combined|rdcb|hybrid, \
+             joinable with '+')",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for UnknownPolicy {}
 
 /// Which adaptive mechanisms are active — a composable set (each field
 /// is independent; any combination is valid). The default is the
@@ -135,6 +153,67 @@ impl PolicyConfig {
         self.hybrid.is_some()
     }
 
+    /// The paper's 32K-entry history-table budget scaled down with the
+    /// cache capacities by `scale` (at least 256 entries): the table
+    /// size `cmpsim` uses when `--entries` is not given.
+    pub fn scaled_entries(scale: u64) -> u64 {
+        (32 * 1024 / scale.max(1)).max(256)
+    }
+
+    /// Parses a policy spec: one mechanism name or several joined with
+    /// `+` (e.g. `wbht+hybrid`), case-insensitive. Every table gets
+    /// `entries` entries; `combined` is shorthand for the paper's
+    /// wbht+snarf corner with that budget split between the two.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownPolicy`] for a name outside
+    /// `base|baseline|wbht|snarf|combined|rdcb|hybrid`.
+    pub fn parse(
+        spec: &str,
+        entries: u64,
+        scope: UpdateScope,
+        granularity: u64,
+    ) -> Result<Self, UnknownPolicy> {
+        let wbht = |entries| WbhtConfig {
+            entries,
+            assoc: 16,
+            scope,
+            granularity,
+        };
+        let snarf = |entries| SnarfConfig {
+            entries,
+            ..Default::default()
+        };
+        let mut p = PolicyConfig::default();
+        for part in spec.to_ascii_lowercase().split('+') {
+            match part.trim() {
+                "base" | "baseline" => {}
+                "wbht" => p.wbht = Some(wbht(entries)),
+                "snarf" => p.snarf = Some(snarf(entries)),
+                "combined" => {
+                    let half = (entries / 2).max(256);
+                    p.wbht = Some(wbht(half));
+                    p.snarf = Some(snarf(half));
+                }
+                "rdcb" => {
+                    p.rdcb = Some(RdcbConfig {
+                        entries,
+                        ..Default::default()
+                    })
+                }
+                "hybrid" => {
+                    p.hybrid = Some(HybridConfig {
+                        entries,
+                        ..Default::default()
+                    })
+                }
+                other => return Err(UnknownPolicy(other.to_string())),
+            }
+        }
+        Ok(p)
+    }
+
     /// A short policy label for reports. The paper's four corners keep
     /// their historical names; other combinations join the active
     /// mechanisms with `+` in canonical order.
@@ -199,6 +278,35 @@ mod tests {
         let c = PolicyConfig::combined_paper();
         assert!(c.has_wbht() && c.has_snarf());
         assert!(!c.has_rdcb() && !c.has_hybrid());
+    }
+
+    #[test]
+    fn parse_composes_mechanisms() {
+        let p = PolicyConfig::parse("WBHT+hybrid", 4096, UpdateScope::Global, 2).unwrap();
+        assert_eq!(p.label(), "wbht+hybrid");
+        let w = p.wbht.unwrap();
+        assert_eq!((w.entries, w.assoc, w.granularity), (4096, 16, 2));
+        assert_eq!(w.scope, UpdateScope::Global);
+        assert_eq!(p.hybrid.unwrap().entries, 4096);
+        let c = PolicyConfig::parse("combined", 4096, UpdateScope::Local, 1).unwrap();
+        assert_eq!(
+            (c.wbht.unwrap().entries, c.snarf.unwrap().entries),
+            (2048, 2048)
+        );
+        assert_eq!(
+            PolicyConfig::parse("base", 4096, UpdateScope::Local, 1),
+            Ok(PolicyConfig::baseline())
+        );
+    }
+
+    #[test]
+    fn parse_error_lists_the_accepted_names() {
+        let e = PolicyConfig::parse("wbht+lru", 4096, UpdateScope::Local, 1).unwrap_err();
+        assert_eq!(e, UnknownPolicy("lru".into()));
+        let msg = e.to_string();
+        for name in ["baseline", "wbht", "snarf", "combined", "rdcb", "hybrid"] {
+            assert!(msg.contains(name), "{msg}");
+        }
     }
 
     #[test]

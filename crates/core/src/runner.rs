@@ -439,7 +439,7 @@ mod tests {
     fn scaled_out_32_core_topology_runs() {
         // The >8-core axis: 32 cores, 64 threads, 16 L2 agents on the
         // ring — shrunk caches keep the test fast.
-        let mut cfg = SystemConfig::with_cores(32);
+        let mut cfg = SystemConfig::with_cores(32).unwrap();
         cfg.l2_slice_bytes = 32 * 1024;
         cfg.l3 = cmpsim_mem::L3Config::scaled(16);
         if let Some(l1) = &mut cfg.l1 {

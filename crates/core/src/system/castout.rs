@@ -347,7 +347,7 @@ impl System {
             };
             // Policy filtering: consulted off the miss path, after the
             // victim entered the queue (§2).
-            if !entry.dirty && self.policy.caps().filters_clean_castouts {
+            if !entry.dirty && self.policy.filters_clean_castouts() {
                 let engaged = self.policy.castout_gate_engaged(now);
                 let in_l3 = match self.cfg.l3_organization {
                     L3Organization::SharedVictim => self.l3.peek(entry.line),

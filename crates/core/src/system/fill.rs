@@ -52,7 +52,7 @@ impl System {
             // combined response and this fill (e.g. a snarf landing).
             self.apply_invalidations(l2id, line, Some(()));
         }
-        let evicted = if self.cfg.history_aware_replacement && self.policy.caps().knows_lines {
+        let evicted = if self.cfg.history_aware_replacement && self.policy.knows_lines() {
             let policy = &self.policy;
             self.l2s[i].fill_history_aware(line, state, InsertPosition::Mru, 4, |l| {
                 policy.knows_line(i, l)

@@ -124,7 +124,7 @@ impl System {
                 // Store on a shared copy: the coherence policy decides
                 // between the base-protocol Upgrade (invalidate peers)
                 // and a write-through-style update.
-                if self.policy.caps().adapts_coherence {
+                if self.policy.adapts_coherence() {
                     let action = self.policy.on_store_to_shared(t_now, line);
                     if let Some(a) = &mut self.audit {
                         a.record_coherence_decision(matches!(

@@ -425,7 +425,6 @@ mod tests {
             entries: 256,
             ..Default::default()
         }));
-        assert!(sys.policy.caps().snarfs_castouts);
         assert!(sys.snarf_table_stats().is_some());
     }
 }

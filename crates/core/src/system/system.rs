@@ -15,7 +15,7 @@ use cmpsim_mem::{L3Cache, MemoryController};
 use cmpsim_ring::{Ring, RingTopology};
 use cmpsim_trace::{ReferenceSource, SyntheticWorkload, ThreadId};
 
-use crate::config::{L3Organization, SystemConfig};
+use crate::config::{CoreCountError, L3Organization, SystemConfig};
 use crate::policy::PolicyStack;
 use crate::system::l1::L1Cache;
 use crate::system::l2::L2Unit;
@@ -105,9 +105,9 @@ pub struct System {
     pub(super) l2s: Vec<L2Unit>,
     pub(super) l1s: Vec<L1Cache>,
     pub(super) threads: Vec<ThreadCtx>,
-    /// The pluggable adaptive-policy stack (WBHT, snarf, rivals) plus
+    /// The configured adaptive mechanisms (WBHT, snarf, rivals) plus
     /// the shared retry-rate switch; every pipeline stage dispatches
-    /// through its hook points.
+    /// through the stack's hook points.
     pub(super) policy: PolicyStack,
     pub(super) txn_seq: TxnId,
     pub(super) stats: SystemStats,
@@ -181,6 +181,8 @@ pub struct System {
 /// Errors from building a [`System`].
 #[derive(Debug)]
 pub enum SystemError {
+    /// A core count that does not pair up onto the L2s.
+    Cores(CoreCountError),
     /// Invalid cache geometry in the configuration.
     Geometry(cmpsim_cache::GeometryError),
     /// Invalid workload parameters.
@@ -190,6 +192,7 @@ pub enum SystemError {
 impl std::fmt::Display for SystemError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SystemError::Cores(e) => write!(f, "invalid core count: {e}"),
             SystemError::Geometry(e) => write!(f, "invalid geometry: {e}"),
             SystemError::Workload(e) => write!(f, "invalid workload: {e}"),
         }
@@ -215,7 +218,8 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`SystemError`] for invalid geometries or workloads.
+    /// Returns [`SystemError`] for invalid core counts, geometries or
+    /// workloads.
     pub fn new(
         cfg: SystemConfig,
         workload_params: cmpsim_trace::WorkloadParams,
@@ -231,15 +235,15 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`SystemError`] for invalid geometries.
+    /// Returns [`SystemError`] for invalid core counts or geometries.
     pub fn with_source(
         cfg: SystemConfig,
         workload: Box<dyn ReferenceSource>,
     ) -> Result<Self, SystemError> {
         cfg.validate()?;
 
-        // Policy wiring: every configured mechanism becomes a plugged-in
-        // policy on the stack the pipeline stages dispatch through.
+        // Policy wiring: the stack holds every configured mechanism; the
+        // pipeline stages dispatch through its hook points.
         let policy = PolicyStack::new(&cfg.policy, cfg.num_l2 as usize, cfg.retry_switch)?;
 
         let l2s = L2Id::all(cfg.num_l2)

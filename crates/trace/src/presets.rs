@@ -88,6 +88,18 @@ impl Workload {
         }
     }
 
+    /// Looks a workload up by its command-line name, ignoring case:
+    /// `tp`, `cpw2`, `notesbench` (or `nb`) and `trade2`.
+    pub fn from_name(name: &str) -> Option<Workload> {
+        match name.to_ascii_lowercase().as_str() {
+            "tp" => Some(Workload::Tp),
+            "cpw2" => Some(Workload::Cpw2),
+            "notesbench" | "nb" => Some(Workload::NotesBench),
+            "trade2" => Some(Workload::Trade2),
+            _ => None,
+        }
+    }
+
     /// Builds the workload's parameters for a given thread count and
     /// cache scale.
     pub fn params(self, threads: u16, scale: CacheScale) -> WorkloadParams {
@@ -282,6 +294,16 @@ mod tests {
         assert_eq!(Workload::Cpw2.to_string(), "CPW2");
         assert_eq!(Workload::NotesBench.name(), "NotesBench");
         assert_eq!(Workload::Trade2.name(), "Trade2");
+    }
+
+    #[test]
+    fn from_name_accepts_every_display_name() {
+        for w in Workload::all() {
+            assert_eq!(Workload::from_name(w.name()), Some(w));
+        }
+        assert_eq!(Workload::from_name("nb"), Some(Workload::NotesBench));
+        assert_eq!(Workload::from_name("TRADE2"), Some(Workload::Trade2));
+        assert_eq!(Workload::from_name("bogus"), None);
     }
 
     #[test]

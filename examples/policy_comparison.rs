@@ -5,55 +5,22 @@
 //! cargo run --release --example policy_comparison
 //! ```
 
-use cmp_hierarchies::adaptive::{
-    run, PolicyConfig, RunReport, RunSpec, SnarfConfig, SystemConfig, WbhtConfig,
-};
+use cmp_hierarchies::adaptive::{run, PolicyConfig, RunReport, RunSpec, SystemConfig, UpdateScope};
 use cmp_hierarchies::trace::Workload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let refs = 8_000;
-    let policies: [(&str, PolicyConfig); 4] = [
-        ("baseline", PolicyConfig::baseline()),
-        (
-            "wbht",
-            PolicyConfig::wbht(WbhtConfig {
-                entries: 4096,
-                ..Default::default()
-            }),
-        ),
-        (
-            "snarf",
-            PolicyConfig::snarf(SnarfConfig {
-                entries: 4096,
-                ..Default::default()
-            }),
-        ),
-        // §5.3: both tables halved to keep total area constant.
-        (
-            "combined",
-            PolicyConfig::combined(
-                WbhtConfig {
-                    entries: 2048,
-                    ..Default::default()
-                },
-                SnarfConfig {
-                    entries: 2048,
-                    ..Default::default()
-                },
-            ),
-        ),
-    ];
-
     println!(
         "{:<12} {:>12} {:>9} {:>9} {:>9}",
         "workload", "baseline cy", "wbht", "snarf", "combined"
     );
     for wl in Workload::all() {
         let mut reports: Vec<RunReport> = Vec::new();
-        for (_, p) in &policies {
+        // §5.3: `combined` halves both tables to keep total area constant.
+        for spec in ["baseline", "wbht", "snarf", "combined"] {
             let mut cfg = SystemConfig::scaled(8);
             cfg.max_outstanding = 6;
-            cfg.policy = p.clone();
+            cfg.policy = PolicyConfig::parse(spec, 4096, UpdateScope::Local, 1)?;
             reports.push(run(RunSpec::for_workload(cfg, wl, refs))?);
         }
         let base = &reports[0];

@@ -24,7 +24,9 @@ echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
 echo "==> golden traces regenerate cleanly"
-UPDATE_GOLDEN=1 cargo test -q --test telemetry --test spans golden >/dev/null
+# Telemetry and span traces, plus the policy matrix: the cmpsim --json
+# --audit report of every mechanism and of the compositions.
+UPDATE_GOLDEN=1 cargo test -q --test telemetry --test spans --test policy_matrix golden >/dev/null
 if ! git diff --exit-code -- tests/golden >/dev/null; then
     git --no-pager diff --stat -- tests/golden
     echo "verify: FAILED — golden traces drifted from committed files" >&2
@@ -75,17 +77,6 @@ echo "==> decision-audit consistency gate (policy_audit --check)"
 # Audit-on metrics minus the audit_* section must be byte-identical to
 # audit-off, and (nearly) every recorded decision must resolve.
 CMPSIM_PROFILE=smoke ./target/release/policy_audit --check >/dev/null
-
-echo "==> policy matrix smoke (cmpsim --policy, every variant + a composition)"
-# Every selectable policy — including the post-paper rdcb and hybrid
-# ones and a '+' composition — must run and emit well-formed JSON.
-for pol in baseline wbht snarf combined rdcb hybrid wbht+hybrid; do
-    if ! ./target/release/cmpsim --policy "$pol" --refs 2000 --seed 42 --json \
-        | grep -q "\"policy\""; then
-        echo "verify: FAILED — cmpsim --policy $pol did not produce a JSON report" >&2
-        exit 1
-    fi
-done
 
 echo "==> policy face-off harness gate (exp policy-faceoff --check)"
 # Every contender must complete, the new policies must populate their

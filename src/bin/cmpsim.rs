@@ -8,7 +8,7 @@
 //! trace-event JSON file loadable in Perfetto.
 //!
 //! ```text
-//! cmpsim [--workload tp|cpw2|notesbench|trade2] [--policy baseline|wbht|snarf|combined]
+//! cmpsim [--workload tp|cpw2|notesbench|trade2] [--policy NAME[+NAME...]]
 //!        [--entries N] [--outstanding 1..6] [--refs N] [--scale N] [--seed N]
 //!        [--cores N]
 //!        [--trace FILE] [--granularity N] [--global-wbht] [--csv] [--json]
@@ -22,8 +22,7 @@
 use std::process::ExitCode;
 
 use cmp_hierarchies::adaptive::{
-    chrome_decision_events, HybridConfig, PolicyConfig, RdcbConfig, RunReport, SnarfConfig, System,
-    SystemConfig, UpdateScope, WbhtConfig,
+    chrome_decision_events, PolicyConfig, RunReport, System, SystemConfig, UpdateScope,
 };
 use cmp_hierarchies::engine::profiler::{chrome_host_events, HostProfiler, DEFAULT_STRIDE};
 use cmp_hierarchies::engine::progress::ProgressMeter;
@@ -102,15 +101,11 @@ fn parse_args() -> Result<Args, String> {
         let mut value = || it.next().ok_or_else(|| format!("missing value for {flag}"));
         match flag.as_str() {
             "--workload" | "-w" => {
-                args.workload = match value()?.to_lowercase().as_str() {
-                    "tp" => Workload::Tp,
-                    "cpw2" => Workload::Cpw2,
-                    "notesbench" | "nb" => Workload::NotesBench,
-                    "trade2" => Workload::Trade2,
-                    other => return Err(format!("unknown workload {other}")),
-                }
+                let name = value()?;
+                args.workload =
+                    Workload::from_name(&name).ok_or_else(|| format!("unknown workload {name}"))?;
             }
-            "--policy" | "-p" => args.policy = value()?.to_lowercase(),
+            "--policy" | "-p" => args.policy = value()?,
             "--entries" => args.entries = parse_num(&flag, &value()?)?,
             "--outstanding" | "-o" => args.outstanding = parse_num(&flag, &value()?)?,
             "--refs" | "-n" => args.refs = parse_num(&flag, &value()?)?,
@@ -159,68 +154,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-/// Parses a `--policy` spec: one mechanism name or several joined with
-/// `+` (e.g. `wbht+hybrid`). `combined` is shorthand for the paper's
-/// wbht+snarf corner with the table budget split between the two.
-fn parse_policy(
-    spec: &str,
-    entries: u64,
-    scope: UpdateScope,
-    granularity: u64,
-) -> Result<PolicyConfig, String> {
-    let mut p = PolicyConfig::default();
-    for part in spec.split('+') {
-        match part.trim() {
-            "base" | "baseline" => {}
-            "wbht" => {
-                p.wbht = Some(WbhtConfig {
-                    entries,
-                    assoc: 16,
-                    scope,
-                    granularity,
-                })
-            }
-            "snarf" => {
-                p.snarf = Some(SnarfConfig {
-                    entries,
-                    ..Default::default()
-                })
-            }
-            "combined" => {
-                p.wbht = Some(WbhtConfig {
-                    entries: (entries / 2).max(256),
-                    assoc: 16,
-                    scope,
-                    granularity,
-                });
-                p.snarf = Some(SnarfConfig {
-                    entries: (entries / 2).max(256),
-                    ..Default::default()
-                });
-            }
-            "rdcb" => {
-                p.rdcb = Some(RdcbConfig {
-                    entries,
-                    ..Default::default()
-                })
-            }
-            "hybrid" => {
-                p.hybrid = Some(HybridConfig {
-                    entries,
-                    ..Default::default()
-                })
-            }
-            other => {
-                return Err(format!(
-                    "unknown policy {other} (expected base|wbht|snarf|combined|rdcb|hybrid, \
-                     joinable with '+')"
-                ))
-            }
-        }
-    }
-    Ok(p)
 }
 
 /// Parses the value of a numeric flag (decimal or `0x` hex, `_`
@@ -275,7 +208,7 @@ OPTIONS:
         --profile-host     attribute host wall-clock time per pipeline
                            stage (summary on stderr; merged into
                            --trace-spans as a separate Perfetto track)
-        --profile-stride N time 1 of every N event-loop iterations [32]
+        --profile-stride N time 1 of every N event-loop iterations [128]
         --stream-telemetry[=PATH]
                            stream interval counters + host samples as
                            length-prefixed NDJSON to stdout, or serve
@@ -320,16 +253,12 @@ fn real_main() -> Result<(), String> {
     if let Some(cores) = args.cores {
         // The >8-core topology axis: more core pairs, more L2 agents on
         // the ring, same per-L2 capacity at the chosen scale.
-        if cores < 2 || !cores.is_multiple_of(2) {
-            return Err(format!(
-                "--cores expects a positive multiple of 2 (one L2 per core pair), got {cores}"
-            ));
-        }
         cfg.cores = cores;
         cfg.num_l2 = cores / 2;
+        cfg.check_cores().map_err(|e| format!("--cores: {e}"))?;
     }
     let entries = if args.entries == 0 {
-        (32 * 1024 / args.scale.max(1)).max(256)
+        PolicyConfig::scaled_entries(args.scale)
     } else {
         args.entries
     };
@@ -338,7 +267,8 @@ fn real_main() -> Result<(), String> {
     } else {
         UpdateScope::Local
     };
-    cfg.policy = parse_policy(&args.policy, entries, scope, args.granularity)?;
+    cfg.policy = PolicyConfig::parse(&args.policy, entries, scope, args.granularity)
+        .map_err(|e| e.to_string())?;
 
     let mut sys = match &args.trace {
         Some(path) => {

@@ -1,11 +1,12 @@
-//! Regression gate for the policy-trait refactor: the audit metrics of a
-//! pinned combined-policy run must stay byte-identical to the golden
-//! captured from the hard-wired (pre-trait) build.
+//! Regression gate for the policy stack: the audit metrics of a pinned
+//! combined-policy run must stay byte-identical to the golden, which was
+//! first captured when the mechanisms were still fields of `System` and
+//! has held through every rework of the dispatch since.
 //!
 //! Regenerate intentionally with `UPDATE_GOLDEN=1 cargo test --test
 //! audit_golden` and inspect the diff — drift here means the policy
-//! dispatch layer changed a decision, an outcome resolution, or the
-//! audit hook ordering.
+//! stack changed a decision, an outcome resolution, or the audit hook
+//! ordering.
 
 use cmp_hierarchies::adaptive::{
     run, PolicyConfig, RunSpec, SnarfConfig, SystemConfig, UpdateScope, WbhtConfig,

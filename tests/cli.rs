@@ -5,6 +5,7 @@
 use std::process::{Command, Output};
 
 use cmp_hierarchies::cache::Addr;
+use cmp_hierarchies::engine::profiler::DEFAULT_STRIDE;
 use cmp_hierarchies::trace::{file, MemOp, ThreadId, TraceRecord};
 
 fn cmpsim(args: &[&str]) -> Output {
@@ -41,6 +42,24 @@ fn odd_core_count_is_rejected() {
 #[test]
 fn outstanding_past_the_u32_range_is_rejected_not_truncated() {
     assert_rejected(&["-o", "4294967297", "-q"], &["-o", "4294967297"]);
+}
+
+#[test]
+fn unknown_policy_lists_the_accepted_names() {
+    let names = "baseline|wbht|snarf|combined|rdcb|hybrid";
+    assert_rejected(&["-p", "wbht+lru", "-q"], &["unknown policy lru", names]);
+}
+
+#[test]
+fn unknown_workload_is_rejected() {
+    assert_rejected(&["-w", "bogus", "-q"], &["unknown workload bogus"]);
+}
+
+#[test]
+fn help_gives_the_profiler_default_stride() {
+    let help = String::from_utf8(cmpsim(&["--help"]).stdout).unwrap();
+    let stride = format!("event-loop iterations [{DEFAULT_STRIDE}]");
+    assert!(help.contains(&stride), "{help}");
 }
 
 #[test]

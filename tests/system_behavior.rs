@@ -2,8 +2,8 @@
 //! protocol invariants, and policy effects.
 
 use cmp_hierarchies::adaptive::{
-    run, PolicyConfig, RetrySwitchConfig, RunSpec, SnarfConfig, System, SystemConfig, UpdateScope,
-    WbhtConfig,
+    run, PolicyConfig, RetrySwitchConfig, RunSpec, SnarfConfig, System, SystemConfig, SystemError,
+    UpdateScope, WbhtConfig,
 };
 use cmp_hierarchies::trace::Workload;
 
@@ -283,6 +283,21 @@ fn l1_can_be_disabled() {
     let r = run(spec_for(cfg, Workload::Cpw2, 2_000)).unwrap();
     assert_eq!(r.stats.l1_hits, 0);
     assert!(r.stats.cycles > 0);
+}
+
+#[test]
+fn core_count_disagreeing_with_the_l2s_is_rejected() {
+    // Seven cores on three L2s: the frontend would index a fourth L2
+    // for the last core pair, so construction must fail, not the run.
+    let mut cfg = SystemConfig::scaled(16);
+    cfg.cores = 7;
+    cfg.num_l2 = 3;
+    let wl = Workload::Trade2.params(cfg.num_threads(), cfg.cache_scale());
+    match System::new(cfg, wl) {
+        Err(SystemError::Cores(e)) => assert_eq!((e.cores, e.num_l2), (7, 3)),
+        Err(e) => panic!("expected a core-count error, got {e}"),
+        Ok(_) => panic!("seven cores on three L2s must be rejected"),
+    }
 }
 
 #[test]
