@@ -53,6 +53,7 @@ impl System {
                         l2: txn.src,
                         line,
                         state: L2State::Modified,
+                        epoch: None,
                     },
                 );
                 return;
@@ -66,6 +67,7 @@ impl System {
                         l2: txn.src,
                         line,
                         state: st.expect("present"),
+                        epoch: None,
                     },
                 );
                 return;
@@ -79,6 +81,7 @@ impl System {
                             l2: txn.src,
                             line,
                             state: L2State::Modified,
+                            epoch: None,
                         },
                     );
                     return;
@@ -137,6 +140,7 @@ impl System {
                         l2: txn.src,
                         line,
                         state: L2State::Modified,
+                        epoch: None,
                     },
                 );
             }
@@ -300,6 +304,7 @@ impl System {
                 l2: txn.src,
                 line,
                 state: install,
+                epoch: None,
             },
         );
     }

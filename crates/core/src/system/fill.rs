@@ -3,6 +3,8 @@
 //! absorption at peer L2s, system-wide invalidations, and MSHR / thread
 //! wake-up on miss completion.
 
+use std::num::NonZeroU32;
+
 use cmpsim_cache::{InsertPosition, LineAddr};
 use cmpsim_coherence::{L2Id, L2State};
 use cmpsim_engine::Cycle;
@@ -14,8 +16,26 @@ use crate::system::thread::Park;
 use crate::system::System;
 
 impl System {
-    pub(super) fn handle_fill(&mut self, now: Cycle, l2id: L2Id, line: LineAddr, state: L2State) {
+    pub(super) fn handle_fill(
+        &mut self,
+        now: Cycle,
+        l2id: L2Id,
+        line: LineAddr,
+        state: L2State,
+        blocked_epoch: Option<NonZeroU32>,
+    ) {
         let i = l2id.index();
+        // A re-poll whose L2 has gained and lost no line since it was
+        // last blocked still has its line absent and its set full, so a
+        // still-full queue keeps it blocked: skip both tag probes.
+        if blocked_epoch == Some(self.l2s[i].epoch()) && self.l2s[i].wbq.is_full() {
+            debug_assert!(
+                self.l2s[i].state_of(line).is_none() && !self.l2s[i].has_invalid_way(line),
+                "re-poll of {line} at {l2id} skipped its probes but is not blocked"
+            );
+            self.repoll_blocked_fill(now, l2id, line, state);
+            return;
+        }
         if self.l2s[i].state_of(line).is_some() {
             self.inbound_remove(i as u8, line.raw(), Self::INBOUND_FILL);
             // Upgrade completion, or the line arrived by other means.
@@ -34,14 +54,7 @@ impl System {
         // set while the fill is blocked — the line is still in transit
         // and snoops must keep retrying against it.
         if self.l2s[i].wbq.is_full() && !self.l2s[i].has_invalid_way(line) {
-            self.queue.push(
-                now + 8,
-                Ev::Fill {
-                    l2: l2id,
-                    line,
-                    state,
-                },
-            );
+            self.repoll_blocked_fill(now, l2id, line, state);
             return;
         }
         self.inbound_remove(i as u8, line.raw(), Self::INBOUND_FILL);
@@ -64,6 +77,22 @@ impl System {
             self.on_l2_eviction(now, i, vline, vst);
         }
         self.complete_miss(now, l2id, line);
+    }
+
+    /// Delivers a blocked fill again 8 cycles on, stamped with its L2's
+    /// current residency epoch. The re-poll stays an ordinary queued
+    /// event so it keeps its FIFO slot within the cycle it lands on.
+    fn repoll_blocked_fill(&mut self, now: Cycle, l2: L2Id, line: LineAddr, state: L2State) {
+        let epoch = Some(self.l2s[l2.index()].epoch());
+        self.queue.push(
+            now + 8,
+            Ev::Fill {
+                l2,
+                line,
+                state,
+                epoch,
+            },
+        );
     }
 
     /// Downgrades an install state that a concurrent snarf or fill has
@@ -275,11 +304,85 @@ impl System {
 
 #[cfg(test)]
 mod tests {
-    use cmpsim_cache::{InsertPosition, LineAddr};
+    use cmpsim_cache::{InsertPosition, LineAddr, WbEntry};
     use cmpsim_coherence::{L2Id, L2State};
 
     use crate::policy::PolicyConfig;
+    use crate::system::system::Ev;
     use crate::system::testutil::system;
+    use crate::system::System;
+
+    /// A system whose L2#0 holds a full set and a full write-back queue,
+    /// with a fill into that set blocked behind both. Returns the system,
+    /// the set's resident lines and the blocked line.
+    fn blocked_fill() -> (System, Vec<LineAddr>, LineAddr) {
+        let mut sys = system(PolicyConfig::baseline());
+        let cfg = sys.cfg.clone();
+        let sets = cfg.l2_slice_bytes / cfg.line_bytes / cfg.l2_assoc;
+        let stride = cfg.l2_slices * sets; // same slice, same set
+        let set: Vec<_> = (0..cfg.l2_assoc)
+            .map(|k| LineAddr::new(8 + k * stride))
+            .collect();
+        for &l in &set {
+            sys.l2s[0].fill(l, L2State::Shared, InsertPosition::Mru);
+        }
+        for k in 0..cfg.wbq_len as u64 {
+            let line = LineAddr::new(1 + k * stride);
+            assert!(sys.l2s[0].wbq.push(WbEntry { line, dirty: false }));
+        }
+        let line = LineAddr::new(8 + cfg.l2_assoc * stride);
+        sys.handle_fill(0, L2Id::new(0), line, L2State::Exclusive, None);
+        assert_eq!(sys.l2s[0].state_of(line), None, "the fill must block");
+        (sys, set, line)
+    }
+
+    /// Pops the next event, which must be a re-poll of `line`, checks
+    /// that its stamp differs from L2#0's epoch exactly when
+    /// `epoch_moved`, and delivers it.
+    fn deliver_repoll(sys: &mut System, line: LineAddr, epoch_moved: bool) {
+        let (now, ev) = sys.queue.pop().expect("a re-poll is queued");
+        let Ev::Fill {
+            l2,
+            line: l,
+            state,
+            epoch,
+        } = ev
+        else {
+            panic!("expected a fill re-poll, got {ev:?}");
+        };
+        assert_eq!(l, line);
+        assert_eq!(epoch == Some(sys.l2s[0].epoch()), !epoch_moved);
+        sys.handle_fill(now, l2, l, state, epoch);
+    }
+
+    #[test]
+    fn blocked_fill_installs_on_the_first_repoll_after_the_queue_drains() {
+        let (mut sys, set, line) = blocked_fill();
+        // Nothing changed: the re-poll blocks again on the epoch alone.
+        deliver_repoll(&mut sys, line, false);
+        assert_eq!(sys.l2s[0].state_of(line), None);
+        sys.l2s[0].wbq.pop();
+        deliver_repoll(&mut sys, line, false);
+        assert!(sys.l2s[0].state_of(line).is_some());
+        // The LRU line went to the freed queue slot.
+        assert_eq!(sys.l2s[0].state_of(set[0]), None);
+        assert!(sys.l2s[0].wbq.contains(set[0]));
+    }
+
+    #[test]
+    fn blocked_fill_installs_on_the_first_repoll_after_its_set_loses_a_line() {
+        let (mut sys, set, line) = blocked_fill();
+        deliver_repoll(&mut sys, line, false);
+        // The queue stays full; only the epoch tells the re-poll to look.
+        assert!(sys.l2s[0].invalidate(set[1]).is_some());
+        assert!(sys.l2s[0].wbq.is_full());
+        deliver_repoll(&mut sys, line, true);
+        assert!(sys.l2s[0].state_of(line).is_some());
+        assert!(set
+            .iter()
+            .enumerate()
+            .all(|(k, &l)| sys.l2s[0].state_of(l).is_some() == (k != 1)));
+    }
 
     #[test]
     fn sanitize_demotes_exclusive_against_peers() {

@@ -1,5 +1,7 @@
 //! One L2 cache: sliced tag arrays, MSHRs, write-back queue, snoop port.
 
+use std::num::NonZeroU32;
+
 use cmpsim_cache::{
     InsertPosition, LineAddr, MshrFile, ReplacementPolicy, SlicedGeometry, TagArray, WayIdx,
     WriteBackQueue,
@@ -28,6 +30,9 @@ pub struct L2Unit {
     pub id: L2Id,
     geometry: SlicedGeometry,
     slices: Vec<TagArray<L2State>>,
+    /// Residency epoch: moves whenever a line becomes valid or invalid
+    /// here (see [`epoch`](Self::epoch)).
+    epoch: NonZeroU32,
     /// Miss-status registers (waiters are thread ids).
     pub mshrs: MshrFile<ThreadId>,
     /// The bounded castout queue.
@@ -72,6 +77,7 @@ impl L2Unit {
             id,
             geometry,
             slices,
+            epoch: NonZeroU32::MIN,
             mshrs: MshrFile::new(cfg.l2_mshrs),
             wbq: WriteBackQueue::new(cfg.wbq_len),
             snoop_srv: FifoServer::new(cfg.l2_snoop_cycles),
@@ -98,6 +104,18 @@ impl L2Unit {
         )
     }
 
+    /// The residency epoch: a wrapping counter (it skips zero) that
+    /// changes exactly when a line becomes valid or invalid in this L2,
+    /// so equal epochs prove that no line entered or left in between.
+    #[inline]
+    pub fn epoch(&self) -> NonZeroU32 {
+        self.epoch
+    }
+
+    fn bump_epoch(&mut self) {
+        self.epoch = self.epoch.checked_add(1).unwrap_or(NonZeroU32::MIN);
+    }
+
     /// Coherence state of `line` if resident.
     #[inline]
     pub fn state_of(&self, line: LineAddr) -> Option<L2State> {
@@ -121,7 +139,11 @@ impl L2Unit {
     /// Removes a line, returning its state.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<L2State> {
         let (s, local) = self.slice_and_local(line);
-        self.slices[s].invalidate(local)
+        let removed = self.slices[s].invalidate(local);
+        if removed.is_some() {
+            self.bump_epoch();
+        }
+        removed
     }
 
     /// Inserts a line, evicting by LRU when the set is full. Returns the
@@ -134,6 +156,7 @@ impl L2Unit {
     ) -> Option<(LineAddr, L2State)> {
         let (s, local) = self.slice_and_local(line);
         let slice_bits = self.geometry.slices().trailing_zeros();
+        self.bump_epoch();
         self.slices[s].insert(local, st, pos).map(|ev| {
             let global = (ev.line.raw() << slice_bits) | s as u64;
             (LineAddr::new(global), ev.state)
@@ -166,6 +189,7 @@ impl L2Unit {
                 clean && knows(global)
             });
             if let Some(&(way, _)) = pick {
+                self.bump_epoch();
                 return self.slices[s].insert_into(local, way, st, pos).map(|ev| {
                     let global = (ev.line.raw() << slice_bits) | s as u64;
                     (LineAddr::new(global), ev.state)
@@ -209,6 +233,7 @@ impl L2Unit {
     ) -> Option<(LineAddr, L2State)> {
         let (s, local) = self.slice_and_local(line);
         let slice_bits = self.geometry.slices().trailing_zeros();
+        self.bump_epoch();
         self.slices[s].insert_into(local, way, st, pos).map(|ev| {
             let global = (ev.line.raw() << slice_bits) | s as u64;
             (LineAddr::new(global), ev.state)
@@ -386,6 +411,54 @@ mod tests {
             )
             .expect("full set must evict");
         assert_eq!(ev.0, LineAddr::new(8));
+    }
+
+    #[test]
+    fn epoch_moves_exactly_when_a_line_enters_or_leaves() {
+        let mut u = unit();
+        let cfg = SystemConfig::scaled(16);
+        let sets = cfg.l2_slice_bytes / cfg.line_bytes / cfg.l2_assoc;
+        let stride = 4 * sets; // same slice, same set
+        let at = |k: u64| LineAddr::new(8 + k * stride);
+        let mut last = u.epoch();
+        let mut moved = |u: &L2Unit| std::mem::replace(&mut last, u.epoch()) != u.epoch();
+
+        u.fill(at(0), L2State::Exclusive, InsertPosition::Mru);
+        assert!(moved(&u), "fill");
+        assert!(u.touch(at(0)));
+        assert!(u.set_state(at(0), L2State::Shared));
+        assert!(u.state_of(at(0)).is_some());
+        assert!(u.has_invalid_way(at(0)));
+        assert!(u.snarf_victim(at(0)).is_some());
+        assert_eq!(u.invalidate(at(99)), None);
+        assert!(
+            !moved(&u),
+            "touch, set_state, probes and a missing invalidate"
+        );
+        assert!(u.invalidate(at(0)).is_some());
+        assert!(moved(&u), "invalidate that hit");
+
+        for k in 0..cfg.l2_assoc {
+            u.fill(at(k), L2State::Shared, InsertPosition::Mru);
+            assert!(moved(&u), "fill {k}");
+        }
+        let ev = u.fill_history_aware(at(100), L2State::Shared, InsertPosition::Mru, 4, |l| {
+            l == at(1)
+        });
+        assert_eq!(ev.map(|(l, _)| l), Some(at(1)));
+        assert!(moved(&u), "history-aware fill into the known way");
+        let ev = u.fill_history_aware(at(101), L2State::Shared, InsertPosition::Mru, 4, |_| false);
+        assert_eq!(ev.map(|(l, _)| l), Some(at(0)));
+        assert!(moved(&u), "history-aware fill by plain LRU");
+        let way = u.snarf_victim(at(102)).expect("a Shared victim");
+        assert!(!moved(&u), "snarf_victim");
+        u.snarf_insert(at(102), way, L2State::SharedLast, InsertPosition::Mru);
+        assert!(moved(&u), "snarf_insert");
+
+        // Wrapping skips zero, so `Option<NonZeroU32>` stays niche-packed.
+        u.epoch = NonZeroU32::MAX;
+        u.bump_epoch();
+        assert_eq!(u.epoch(), NonZeroU32::MIN);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! loop, and dispatches each event to the protocol-phase module that
 //! handles it (see the module map in [`crate::system`]).
 
+use std::num::NonZeroU32;
+
 use cmpsim_cache::LineAddr;
 use cmpsim_coherence::{L2Id, L2State, SnoopCollector, SnoopResponse, TxnId, TxnState};
 use cmpsim_engine::hash::FxHashMap;
@@ -39,6 +41,9 @@ pub(super) enum Ev {
         line: LineAddr,
         /// Install state granted by the combined response.
         state: L2State,
+        /// On a re-poll of a blocked fill, the L2's residency epoch when
+        /// it last found itself blocked; `None` for a bus delivery.
+        epoch: Option<NonZeroU32>,
     },
     /// A snarfed castout arrives at the absorbing L2.
     SnarfFill {
@@ -52,6 +57,10 @@ pub(super) enum Ev {
     /// The L2's write-back queue drains its next entry.
     WbDrain(L2Id),
 }
+
+// Every event is copied into and out of a calendar bucket: keep it 32
+// bytes (the `BusIssue` payload's size).
+const _: () = assert!(std::mem::size_of::<Ev>() == 32);
 
 impl Ev {
     /// The host-profiler attribution bucket this event's handler bills
@@ -488,7 +497,12 @@ impl System {
         match ev {
             Ev::ThreadStep(t) => self.handle_thread_step(now, t),
             Ev::BusIssue(state) => self.handle_bus_issue(now, state),
-            Ev::Fill { l2, line, state } => self.handle_fill(now, l2, line, state),
+            Ev::Fill {
+                l2,
+                line,
+                state,
+                epoch,
+            } => self.handle_fill(now, l2, line, state, epoch),
             Ev::SnarfFill { l2, line, dirty } => self.handle_snarf_fill(now, l2, line, dirty),
             Ev::WbDrain(l2) => self.handle_wb_drain(now, l2),
         }

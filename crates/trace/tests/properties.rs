@@ -1,10 +1,13 @@
 //! Property-based tests for trace generation and the binary format.
 
+use std::io::ErrorKind;
+
 use cmpsim_cache::Addr;
-use cmpsim_trace::{
-    file, MemOp, SegmentMix, SyntheticWorkload, ThreadId, TraceRecord, WorkloadParams,
-};
+use cmpsim_trace::file::{self, TraceFileError};
+use cmpsim_trace::{MemOp, SegmentMix, SyntheticWorkload, ThreadId, TraceRecord, WorkloadParams};
 use proptest::prelude::*;
+
+const MAGIC: &[u8; 8] = b"CMPTRC01";
 
 fn arb_records() -> impl Strategy<Value = Vec<TraceRecord>> {
     proptest::collection::vec(
@@ -64,6 +67,61 @@ proptest! {
         let cut = cut.min(buf.len() - 17); // keep header intact
         buf.truncate(buf.len() - cut);
         prop_assert!(file::read_trace(&buf[..]).is_err());
+    }
+
+    /// Arbitrary bytes never panic the reader: they decode, or fail with
+    /// the typed error that names what is wrong with them.
+    #[test]
+    fn arbitrary_bytes_decode_or_fail_typed(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        match file::read_trace(&bytes[..]) {
+            Ok(_) => prop_assert!(bytes.starts_with(MAGIC)),
+            Err(TraceFileError::Io(e)) => {
+                prop_assert_eq!(e.kind(), ErrorKind::UnexpectedEof);
+                prop_assert!(bytes.len() < 16);
+            }
+            Err(TraceFileError::BadMagic) => {
+                prop_assert!(bytes.len() >= 8 && !bytes.starts_with(MAGIC));
+            }
+            Err(TraceFileError::BadOp(op)) => prop_assert!(op > 1),
+            Err(TraceFileError::Truncated { expected, got }) => prop_assert!(got < expected),
+        }
+    }
+
+    /// A valid magic, a small count and an arbitrary body: the reader
+    /// decodes exactly `count` records, which re-encode to the bytes
+    /// they came from, or names the bad op byte or the shortfall.
+    #[test]
+    fn forged_header_with_arbitrary_body(
+        count in 0u64..33,
+        mut body in proptest::collection::vec(any::<u8>(), 0..400),
+        legal_ops in any::<bool>(),
+    ) {
+        if legal_ops {
+            // Random op bytes are almost never 0 or 1; without this only
+            // one- or zero-record traces would ever decode.
+            for op in body.iter_mut().skip(2).step_by(11) {
+                *op &= 1;
+            }
+        }
+        let mut input = MAGIC.to_vec();
+        input.extend_from_slice(&count.to_le_bytes());
+        input.extend_from_slice(&body);
+        match file::read_trace(&input[..]) {
+            Ok(records) => {
+                prop_assert_eq!(records.len() as u64, count);
+                let mut again = Vec::new();
+                file::write_trace(&mut again, &records).unwrap();
+                prop_assert_eq!(&again[..], &input[..16 + 11 * records.len()]);
+            }
+            Err(TraceFileError::Truncated { expected, got }) => {
+                prop_assert_eq!(expected, count);
+                prop_assert_eq!(got, body.len() as u64 / 11);
+            }
+            Err(TraceFileError::BadOp(op)) => prop_assert!(op > 1),
+            Err(e) => return Err(format!("unexpected error: {e}")),
+        }
     }
 
     /// Generated records stay within their declared populations: every

@@ -19,11 +19,13 @@
 //!        [--progress[=SECS]] [--quiet] [--verbose]
 //! ```
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use cmp_hierarchies::adaptive::{
     chrome_decision_events, PolicyConfig, RunReport, System, SystemConfig, UpdateScope,
 };
+use cmp_hierarchies::engine::metrics::{Metric, MetricsRegistry};
 use cmp_hierarchies::engine::profiler::{chrome_host_events, HostProfiler, DEFAULT_STRIDE};
 use cmp_hierarchies::engine::progress::ProgressMeter;
 use cmp_hierarchies::engine::spans::{write_chrome_trace_with, SpanTracer};
@@ -136,7 +138,7 @@ fn parse_args() -> Result<Args, String> {
             "--quiet" | "-q" => args.quiet = true,
             "--verbose" | "-v" => args.verbose = true,
             "--help" | "-h" => {
-                println!("{}", HELP);
+                write_stdout(|out| writeln!(out, "{HELP}"))?;
                 std::process::exit(0);
             }
             other => {
@@ -238,6 +240,17 @@ fn main() -> ExitCode {
             eprintln!("cmpsim: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Runs `print` against one buffered, locked stdout and flushes it. A
+/// reader that closed the pipe early (`cmpsim ... | head`) ends the run
+/// quietly; any other write error is reported.
+fn write_stdout(print: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> Result<(), String> {
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    match print(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
     }
 }
 
@@ -397,43 +410,56 @@ fn real_main() -> Result<(), String> {
         std::fs::write(path, body).map_err(|e| format!("--metrics-out {path}: {e}"))?;
     }
 
+    write_stdout(|out| print_report(out, &args, &report, &metrics))
+}
+
+/// The report on stdout: JSON, CSV or the human-readable summary, then
+/// the per-interval deltas under `--verbose`.
+fn print_report(
+    out: &mut dyn Write,
+    args: &Args,
+    report: &RunReport,
+    metrics: &MetricsRegistry,
+) -> io::Result<()> {
     if args.json {
-        println!("{}", metrics.to_json());
+        writeln!(out, "{}", metrics.to_json())?;
     } else if args.csv {
         let (header, row) = metrics.to_csv();
-        println!("{header}");
-        println!("{row}");
+        writeln!(out, "{header}")?;
+        writeln!(out, "{row}")?;
     } else if !args.quiet {
         let s = &report.stats;
         let l3_hit = match metrics.get("l3_load_hit_rate") {
-            Some(cmp_hierarchies::engine::metrics::Metric::Gauge(v)) => *v,
+            Some(Metric::Gauge(v)) => *v,
             _ => 0.0,
         };
-        println!("workload      : {}", report.workload);
-        println!("policy        : {}", report.policy);
-        println!("outstanding   : {}", report.max_outstanding);
-        println!("cycles        : {}", s.cycles);
-        println!("references    : {}", s.refs);
-        println!("L2 hit rate   : {:.1}%", s.l2_hit_rate() * 100.0);
-        println!("L3 load hits  : {:.1}%", l3_hit * 100.0);
-        println!("WB requests   : {}", s.wb.requests());
-        println!(
+        writeln!(out, "workload      : {}", report.workload)?;
+        writeln!(out, "policy        : {}", report.policy)?;
+        writeln!(out, "outstanding   : {}", report.max_outstanding)?;
+        writeln!(out, "cycles        : {}", s.cycles)?;
+        writeln!(out, "references    : {}", s.refs)?;
+        writeln!(out, "L2 hit rate   : {:.1}%", s.l2_hit_rate() * 100.0)?;
+        writeln!(out, "L3 load hits  : {:.1}%", l3_hit * 100.0)?;
+        writeln!(out, "WB requests   : {}", s.wb.requests())?;
+        writeln!(
+            out,
             "  redundant   : {:.1}%",
             s.wb.clean_redundant_rate() * 100.0
-        );
-        println!("  WBHT aborts : {}", s.wb.clean_aborted);
-        println!("  snarfed     : {}", s.wb.snarfed);
-        println!("L3 retries    : {}", s.retries_l3);
-        println!("off-chip      : {}", s.off_chip_accesses());
-        println!("mean miss lat : {:.0} cycles", s.miss_latency.mean());
+        )?;
+        writeln!(out, "  WBHT aborts : {}", s.wb.clean_aborted)?;
+        writeln!(out, "  snarfed     : {}", s.wb.snarfed)?;
+        writeln!(out, "L3 retries    : {}", s.retries_l3)?;
+        writeln!(out, "off-chip      : {}", s.off_chip_accesses())?;
+        writeln!(out, "mean miss lat : {:.0} cycles", s.miss_latency.mean())?;
     }
 
     if args.verbose && !report.intervals.is_empty() {
         let period = args.interval_stats.unwrap_or_default();
-        println!(
+        writeln!(
+            out,
             "intervals     : {} (period {period})",
             report.intervals.len()
-        );
+        )?;
         for rec in &report.intervals {
             let deltas: Vec<String> = rec
                 .counters
@@ -441,7 +467,7 @@ fn real_main() -> Result<(), String> {
                 .filter(|(_, v)| *v > 0)
                 .map(|(n, v)| format!("{n}={v}"))
                 .collect();
-            println!("  [{}, {}) {}", rec.start, rec.end, deltas.join(" "));
+            writeln!(out, "  [{}, {}) {}", rec.start, rec.end, deltas.join(" "))?;
         }
     }
     Ok(())

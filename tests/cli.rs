@@ -1,8 +1,9 @@
 //! Command-line contract of the `cmpsim` binary: bad flag values exit 1
 //! with a message that names the flag and the value as typed, instead
-//! of being wrapped, truncated or ignored.
+//! of being wrapped, truncated or ignored; a closed stdout ends the run
+//! with status 0 instead of a panic.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use cmp_hierarchies::cache::Addr;
 use cmp_hierarchies::engine::profiler::DEFAULT_STRIDE;
@@ -60,6 +61,29 @@ fn help_gives_the_profiler_default_stride() {
     let help = String::from_utf8(cmpsim(&["--help"]).stdout).unwrap();
     let stride = format!("event-loop iterations [{DEFAULT_STRIDE}]");
     assert!(help.contains(&stride), "{help}");
+}
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    let quick = ["-w", "trade2", "-n", "2000", "--scale", "16"];
+    for extra in [
+        &["-v", "--interval-stats", "1000"][..],
+        &["--json", "--audit"],
+    ] {
+        let args = [&quick[..], extra].concat();
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cmpsim"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("cmpsim runs");
+        // The reader goes away before the report is written.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("cmpsim exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

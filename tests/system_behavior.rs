@@ -83,7 +83,7 @@ fn coherence_invariants_hold_for_every_policy() {
         ),
     ] {
         for wl in [Workload::Tp, Workload::Trade2] {
-            let cfg = cfg_with(policy.clone(), 6);
+            let cfg = cfg_with(policy, 6);
             let params = wl.params(cfg.num_threads(), cfg.cache_scale());
             let mut sys = System::new(cfg, params).unwrap();
             sys.run(3_000);
