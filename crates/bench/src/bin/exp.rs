@@ -9,39 +9,35 @@
 //! [`experiments::all`], e.g. `fig2`, `ext-granularity`). `--check`,
 //! valid only with `policy-faceoff`, self-checks the face-off harness
 //! instead of printing its tables. A missing or unknown id exits 2 with
-//! the list of ids.
+//! the list of ids, as does any malformed argument.
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
-use cmpsim_bench::{experiments, Profile};
-
-/// Prints the usage line and the registered ids, then exits 2.
-fn usage() -> ! {
-    let ids: Vec<_> = experiments::all().iter().map(|e| e.id).collect();
-    eprintln!("usage: exp <id>|all [--jobs N] [--check]");
-    eprintln!("ids: all, {}", ids.join(", "));
-    std::process::exit(2);
-}
+use cmpsim_bench::cli::Args;
+use cmpsim_bench::{experiments, set_jobs, Profile};
 
 fn main() {
-    cmpsim_bench::jobs_from_args();
+    let ids: Vec<_> = experiments::all().iter().map(|e| e.id).collect();
+    let usage = format!(
+        "usage: exp <id>|all [--jobs N] [--check]\nids: all, {}",
+        ids.join(", ")
+    );
+    let mut args = Args::from_env("exp", &usage);
     let mut id = None;
     let mut check = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--check" => check = true,
-            // Parsed by `jobs_from_args` above.
-            "--jobs" => {
-                args.next();
-            }
-            s if s.starts_with("--jobs=") => {}
-            s if id.is_none() && !s.starts_with('-') => id = Some(a),
-            _ => usage(),
+            "--jobs" => set_jobs(args.number::<NonZeroUsize>().get()),
+            s if id.is_none() && !s.starts_with('-') => id = Some(arg),
+            other => args.fail(format!("unexpected argument {other}")),
         }
     }
-    let Some(id) = id else { usage() };
+    let Some(id) = id else {
+        args.fail("missing experiment id")
+    };
     if check && id != "policy-faceoff" {
-        usage();
+        args.fail("--check is only for policy-faceoff");
     }
     let profile = Profile::from_env();
     if id == "all" {
@@ -57,7 +53,7 @@ fn main() {
         println!("policy-faceoff check: PASS");
     } else {
         let Some(e) = experiments::by_id(&id) else {
-            usage()
+            args.fail(format!("unknown experiment {id}"))
         };
         println!("== {} ==", e.title);
         println!("{}", (e.run)(&profile));

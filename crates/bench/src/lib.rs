@@ -12,9 +12,10 @@
 //! paper's full 8 MB L2 / 16 MB L3 geometry with longer streams. Select
 //! with the `CMPSIM_PROFILE` environment variable.
 
+pub mod cli;
 pub mod experiments;
 mod profile;
 mod table;
 
-pub use profile::{effective_jobs, jobs_from_args, parallel_runs, run_grid, set_jobs, Profile};
+pub use profile::{effective_jobs, parallel_runs, run_grid, set_jobs, Profile};
 pub use table::Table;

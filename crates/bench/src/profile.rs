@@ -183,31 +183,6 @@ pub fn effective_jobs() -> usize {
         .unwrap_or(4)
 }
 
-/// Parses `--jobs N` (or `--jobs=N`) from the process arguments and
-/// registers it as the worker-count override. Experiment binaries call
-/// this once at startup; unknown arguments are left for the caller.
-pub fn jobs_from_args() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let n = if a == "--jobs" {
-            it.next().and_then(|v| v.parse::<usize>().ok())
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            v.parse::<usize>().ok()
-        } else {
-            continue;
-        };
-        match n {
-            Some(n) if n > 0 => set_jobs(n),
-            _ => {
-                eprintln!("--jobs expects a positive integer");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-}
-
 /// Runs several simulations in parallel, preserving input order in the
 /// results. The worker count comes from [`effective_jobs`] (`--jobs` /
 /// `CMPSIM_JOBS` / auto); results are identical at any setting.

@@ -45,6 +45,6 @@ pub use policy::{
 };
 pub use runner::{run, RunReport, RunSpec};
 pub use system::{
-    chrome_decision_events, DecisionAudit, DecisionAuditSummary, InvariantViolation,
-    L2DecisionStats, System, SystemError, SystemStats,
+    DecisionAudit, DecisionAuditSummary, InvariantViolation, L2DecisionStats, System, SystemError,
+    SystemStats,
 };

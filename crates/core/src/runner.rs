@@ -46,7 +46,7 @@ pub struct RunReport {
     pub intervals: Vec<IntervalRecord>,
     /// Completed transaction spans, when span tracing was enabled
     /// (empty otherwise). Feed to
-    /// [`cmpsim_engine::spans::write_chrome_trace`] for Perfetto.
+    /// [`cmpsim_engine::chrome::ChromeTrace`] for Perfetto.
     pub spans: Vec<SpanRecord>,
     /// Span accounting (counts + per-fill-source latency histograms),
     /// when span tracing was enabled.

@@ -24,8 +24,8 @@
 //!   policy's own regret tracking grades the invalidations.
 //!
 //! This module owns the *resolution* half: recording verdicts and
-//! matching each to its eventual outcome. Aggregation, derived rates,
-//! the metrics-registry section, and the Chrome counter track live in
+//! matching each to its eventual outcome. Aggregation, derived rates
+//! and the metrics-registry section live in
 //! [`audit_report`](super::audit_report).
 //!
 //! Net-cycle accounting uses the *measured* re-miss latency for

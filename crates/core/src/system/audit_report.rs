@@ -1,16 +1,16 @@
-//! Decision-audit reporting: resolved aggregates, derived rates, the
-//! metrics-registry section, and the Chrome-trace counter track.
+//! Decision-audit reporting: resolved aggregates, derived rates and
+//! the metrics-registry section.
 //!
 //! The outcome-resolution half of the audit lives in
 //! [`audit`](super::audit): the [`DecisionAudit`](super::DecisionAudit)
 //! records verdicts as the pipeline makes them and resolves each one
 //! when its consequence lands. This module owns everything downstream
 //! of resolution — the [`DecisionAuditSummary`] snapshot, its quality
-//! rates and net-cycle model, `audit_*` metrics export, and the
-//! pid-9998 Chrome counter track.
+//! rates and net-cycle model, and `audit_*` metrics export. The
+//! interval history feeds the `decisions` track of
+//! [`cmpsim_engine::chrome::ChromeTrace`].
 
 use cmpsim_engine::metrics::MetricsRegistry;
-use cmpsim_engine::stream::DecisionFrame;
 
 use super::audit::L2DecisionStats;
 
@@ -56,19 +56,37 @@ fn rate(num: u64, den: u64) -> f64 {
     }
 }
 
-impl DecisionAuditSummary {
+impl L2DecisionStats {
     /// Fraction of aborts that were correct (1.0 when none fired).
     pub fn abort_precision(&self) -> f64 {
-        if self.totals.aborts == 0 {
+        if self.aborts == 0 {
             1.0
         } else {
-            rate(self.totals.aborts_correct, self.totals.aborts)
+            rate(self.aborts_correct, self.aborts)
         }
     }
 
     /// Fraction of snarf placements that served a hit or intervention.
     pub fn useful_snarf_rate(&self) -> f64 {
-        rate(self.totals.snarfs_useful, self.totals.snarfs)
+        rate(self.snarfs_useful, self.snarfs)
+    }
+
+    /// Fraction of WBHT verdicts taken with the filter engaged.
+    pub fn engaged_rate(&self) -> f64 {
+        rate(self.decisions_engaged, self.wbht_decisions)
+    }
+}
+
+impl DecisionAuditSummary {
+    /// Fraction of all aborts that were correct (1.0 when none fired).
+    pub fn abort_precision(&self) -> f64 {
+        self.totals.abort_precision()
+    }
+
+    /// Fraction of all snarf placements that served a hit or
+    /// intervention.
+    pub fn useful_snarf_rate(&self) -> f64 {
+        self.totals.useful_snarf_rate()
     }
 
     /// Coherence decisions audited (stores to shared lines seen by an
@@ -155,16 +173,12 @@ impl DecisionAuditSummary {
             m.set_counter(&format!("audit_l2_{i}_aborts"), s.aborts);
             m.set_gauge(
                 &format!("audit_l2_{i}_abort_precision"),
-                if s.aborts == 0 {
-                    1.0
-                } else {
-                    rate(s.aborts_correct, s.aborts)
-                },
+                s.abort_precision(),
             );
             m.set_counter(&format!("audit_l2_{i}_snarfs"), s.snarfs);
             m.set_gauge(
                 &format!("audit_l2_{i}_useful_snarf_rate"),
-                rate(s.snarfs_useful, s.snarfs),
+                s.useful_snarf_rate(),
             );
         }
     }
@@ -178,38 +192,6 @@ pub(super) fn peak(heat: &[u32]) -> u64 {
     heat.iter().copied().max().unwrap_or(0) as u64
 }
 
-/// Renders the audit's interval history as Chrome-trace counter lines
-/// (a dedicated pid-9998 "decision audit" track, mirroring the host
-/// profiler's pid-9999 track) for `write_chrome_trace_with`.
-pub fn chrome_decision_events(history: &[DecisionFrame]) -> Vec<String> {
-    if history.is_empty() {
-        return Vec::new();
-    }
-    let mut out = vec![
-        r#"{"name":"process_name","ph":"M","pid":9998,"tid":0,"args":{"name":"decision audit"}}"#
-            .to_string(),
-    ];
-    for f in history {
-        out.push(format!(
-            "{{\"name\":\"wbht outcomes\",\"ph\":\"C\",\"ts\":{},\"pid\":9998,\"tid\":0,\
-             \"args\":{{\"correct\":{},\"mispredicted\":{},\"allows_redundant\":{}}}}}",
-            f.cycle, f.aborts_correct, f.aborts_mispredicted, f.allows_redundant
-        ));
-        out.push(format!(
-            "{{\"name\":\"snarf outcomes\",\"ph\":\"C\",\"ts\":{},\"pid\":9998,\"tid\":0,\
-             \"args\":{{\"useful\":{},\"wasted\":{}}}}}",
-            f.cycle, f.snarfs_useful, f.snarfs_wasted
-        ));
-        out.push(format!(
-            "{{\"name\":\"wbht engaged\",\"ph\":\"C\",\"ts\":{},\"pid\":9998,\"tid\":0,\
-             \"args\":{{\"engaged\":{}}}}}",
-            f.cycle,
-            u8::from(f.engaged)
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::audit::DecisionAudit;
@@ -221,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_section_and_chrome_track() {
+    fn registry_section() {
         let mut a = audit();
         a.record_wbht_decision(0, 4, true, true);
         a.resolve_abort(4, true, 2000);
@@ -239,11 +221,6 @@ mod tests {
         // No coherence decisions recorded: the section stays absent so
         // legacy audit exports remain byte-identical.
         assert!(!json.contains("audit_coherence"));
-        let lines = chrome_decision_events(a.history());
-        assert!(lines[0].contains("process_name"));
-        assert!(lines.iter().any(|l| l.contains("\"mispredicted\":1")));
-        assert!(lines.iter().any(|l| l.contains("\"engaged\":1")));
-        assert!(chrome_decision_events(&[]).is_empty());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Typed protocol-invariant checking: at most one dirty owner per line,
 //! `E`/`M` exclusivity, and at most one `SL` holder. Violations are
-//! reported as structured [`InvariantViolation`] values so tools (the
-//! `debug_invariant` bisector) can act on them without parsing panic
-//! strings; tests use the panicking [`System::assert_invariants`]
-//! wrapper.
+//! reported as structured [`InvariantViolation`] values so callers can
+//! act on them without parsing panic strings; tests use the panicking
+//! [`System::assert_invariants`] wrapper.
 
 use std::collections::HashMap;
 
@@ -38,26 +37,6 @@ pub enum InvariantViolation {
         /// Every holder of the line as `(l2 index, state)`.
         holders: Vec<(usize, L2State)>,
     },
-}
-
-impl InvariantViolation {
-    /// The raw address of the offending line.
-    pub fn line(&self) -> u64 {
-        match self {
-            InvariantViolation::MultipleDirtyOwners { line, .. }
-            | InvariantViolation::ExclusiveWithSharers { line, .. }
-            | InvariantViolation::MultipleSharedLast { line, .. } => *line,
-        }
-    }
-
-    /// Every L2 holding the offending line, as `(l2 index, state)`.
-    pub fn holders(&self) -> &[(usize, L2State)] {
-        match self {
-            InvariantViolation::MultipleDirtyOwners { holders, .. }
-            | InvariantViolation::ExclusiveWithSharers { holders, .. }
-            | InvariantViolation::MultipleSharedLast { holders, .. } => holders,
-        }
-    }
 }
 
 impl std::fmt::Display for InvariantViolation {
@@ -157,9 +136,10 @@ mod tests {
         sys.l2s[0].fill(line, L2State::Modified, InsertPosition::Mru);
         sys.l2s[1].fill(line, L2State::Tagged, InsertPosition::Mru);
         let v = sys.check_invariants().unwrap_err();
-        assert!(matches!(v, InvariantViolation::MultipleDirtyOwners { .. }));
-        assert_eq!(v.line(), line.raw());
-        assert_eq!(v.holders().len(), 2);
+        let InvariantViolation::MultipleDirtyOwners { line: at, holders } = &v else {
+            panic!("expected two dirty owners, got {v}");
+        };
+        assert_eq!((*at, holders.len()), (line.raw(), 2));
         assert!(v.to_string().contains("dirty owners"));
 
         // Demote one copy: now it is an E/M-with-sharers violation.

@@ -18,7 +18,7 @@
 //! | `fill`       | Completion: fills, snarf absorption, invalidations        |
 //! | `observe`    | Telemetry wiring, statistics accessors, finalization      |
 //! | `audit`      | Decision-quality lineage: verdict recording + resolution  |
-//! | `audit_report` | Audit aggregation: summary rates, metrics, Chrome track |
+//! | `audit_report` | Audit aggregation: summary rates and metrics            |
 //! | `invariants` | Typed protocol-invariant checking                         |
 //! | `l1`/`l2`    | The cache units themselves                                |
 //! | `thread`     | Per-thread issue state                                    |
@@ -41,7 +41,7 @@ mod system;
 mod thread;
 
 pub use audit::{DecisionAudit, L2DecisionStats};
-pub use audit_report::{chrome_decision_events, DecisionAuditSummary};
+pub use audit_report::DecisionAuditSummary;
 pub use invariants::InvariantViolation;
 pub use l1::L1Cache;
 pub use l2::{L2Unit, SnarfFlags};

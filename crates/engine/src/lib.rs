@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod chrome;
 pub mod hash;
 mod interval;
 pub mod metrics;

@@ -531,51 +531,6 @@ impl HostProfiler {
     }
 }
 
-/// Chrome trace-event lines putting the host samples on their own
-/// process track (`pid` 9999) next to the simulated spans: one stacked
-/// counter event per sample for stage time, plus queue-depth and
-/// throughput counters. Timestamps reuse the simulated-cycle axis, so
-/// Perfetto shows simulated spans and host stage time in one timeline.
-pub fn chrome_host_events(samples: &[HostSample]) -> Vec<String> {
-    const PID: u32 = 9999;
-    let mut lines = Vec::new();
-    if samples.is_empty() {
-        return lines;
-    }
-    lines.push(format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":0,\
-         \"args\":{{\"name\":\"host (simulator wall-clock)\"}}}}"
-    ));
-    let mut prev = [0u64; STAGE_COUNT];
-    for s in samples {
-        let ts = s.gauges.cycles;
-        let mut args = String::new();
-        for st in HostStage::all().iter().take(TIMED_STAGES) {
-            let i = *st as usize;
-            let delta_us = s.stage_ns[i].saturating_sub(prev[i]) / 1_000;
-            if !args.is_empty() {
-                args.push(',');
-            }
-            args.push_str(&format!("\"{}\":{}", st.as_str(), delta_us));
-            prev[i] = s.stage_ns[i];
-        }
-        lines.push(format!(
-            "{{\"name\":\"host_stage_us\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{PID},\"args\":{{{args}}}}}"
-        ));
-        lines.push(format!(
-            "{{\"name\":\"host_event_queue\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{PID},\
-             \"args\":{{\"ring\":{},\"overflow\":{}}}}}",
-            s.gauges.eq_ring_len, s.gauges.eq_overflow_len
-        ));
-        lines.push(format!(
-            "{{\"name\":\"host_throughput\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{PID},\
-             \"args\":{{\"events_per_sec\":{},\"cycles_per_sec\":{}}}}}",
-            s.events_per_sec, s.cycles_per_sec
-        ));
-    }
-    lines
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,31 +643,6 @@ mod tests {
         let q = p.clone();
         q.add_sampled(HostStage::Castout, 500, 1);
         assert!(p.report().stage_ns[HostStage::Castout as usize] > 0);
-    }
-
-    #[test]
-    fn chrome_host_track_is_balanced_json() {
-        let p = HostProfiler::with_stride(1);
-        p.add_sampled(HostStage::Frontend, 10_000, 1);
-        p.sample(HostGauges {
-            cycles: 500,
-            events: 100,
-            ..Default::default()
-        });
-        p.sample(HostGauges {
-            cycles: 1500,
-            events: 300,
-            ..Default::default()
-        });
-        let lines = chrome_host_events(&p.samples());
-        // 1 metadata + 3 counters per sample.
-        assert_eq!(lines.len(), 1 + 2 * 3);
-        for l in &lines {
-            assert_eq!(l.matches('{').count(), l.matches('}').count(), "{l}");
-            assert_eq!(l.matches('"').count() % 2, 0, "{l}");
-        }
-        assert!(lines[1].contains("\"name\":\"host_stage_us\""));
-        assert!(lines[1].contains("\"ts\":500"));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! as [`crate::telemetry::Telemetry`]: a disabled tracer is a `None` and
 //! every call site pays a single branch. Sampling (`1/N` by span id) bounds
 //! memory on long runs while keeping the kept population deterministic.
+//! [`crate::chrome::ChromeTrace`] exports finished spans for Perfetto.
 //!
 //! # Example
 //!
@@ -34,7 +35,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
 use crate::metrics::MetricsRegistry;
@@ -460,105 +460,6 @@ impl SpanTracer {
         }
         s
     }
-
-    /// Writes every finished span as Chrome trace-event JSON (see
-    /// [`write_chrome_trace`]).
-    pub fn write_chrome_trace<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        write_chrome_trace(&self.finished_spans(), w)
-    }
-}
-
-fn push_event(
-    lines: &mut Vec<String>,
-    name: &str,
-    ts: Cycle,
-    dur: Cycle,
-    pid: u32,
-    tid: SpanId,
-    args: &str,
-) {
-    lines.push(format!(
-        "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\
-         \"pid\":{pid},\"tid\":{tid},\"args\":{{{args}}}}}"
-    ));
-}
-
-/// Serialises spans in the Chrome trace-event format (a JSON array of
-/// `"ph":"X"` complete events), loadable in `chrome://tracing` and
-/// <https://ui.perfetto.dev>. Timestamps are in cycles (displayed as µs by
-/// the viewers). Each span gets its own track (`tid` = span id) inside the
-/// originating L2's process group (`pid` = L2 index); one enclosing event
-/// carries the outcome and the queue-wait/service split, with one nested
-/// event per phase segment. One event per line, so the output is both
-/// strictly valid JSON and trivially greppable.
-pub fn write_chrome_trace<W: Write>(spans: &[SpanRecord], w: &mut W) -> io::Result<()> {
-    write_chrome_trace_with(spans, &[], w)
-}
-
-/// Like [`write_chrome_trace`], with extra pre-rendered trace-event
-/// lines appended to the same JSON array — used to merge the host
-/// profiler's counter track
-/// ([`crate::profiler::chrome_host_events`]) into one timeline with the
-/// simulated spans.
-pub fn write_chrome_trace_with<W: Write>(
-    spans: &[SpanRecord],
-    extra: &[String],
-    w: &mut W,
-) -> io::Result<()> {
-    let mut lines: Vec<String> = Vec::new();
-    let mut l2s: Vec<u32> = spans.iter().map(|s| s.l2).collect();
-    l2s.sort_unstable();
-    l2s.dedup();
-    for l2 in l2s {
-        lines.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{l2},\"tid\":0,\
-             \"args\":{{\"name\":\"L2#{l2}\"}}}}"
-        ));
-    }
-    for span in spans {
-        let outcome = span.outcome.map_or("open", SpanOutcome::as_str);
-        let args = format!(
-            "\"span\":{},\"line\":{},\"outcome\":\"{}\",\"queue_wait\":{},\"service\":{}",
-            span.id,
-            span.line,
-            outcome,
-            span.queue_wait(),
-            span.service()
-        );
-        push_event(
-            &mut lines,
-            span.kind.as_str(),
-            span.start,
-            span.total(),
-            span.l2,
-            span.id,
-            &args,
-        );
-        for (phase, seg_start, seg_len) in span.segments() {
-            let class = if phase.is_queue_wait() {
-                "queue"
-            } else {
-                "service"
-            };
-            let args = format!("\"span\":{},\"class\":\"{class}\"", span.id);
-            push_event(
-                &mut lines,
-                phase.as_str(),
-                seg_start,
-                seg_len,
-                span.l2,
-                span.id,
-                &args,
-            );
-        }
-    }
-    lines.extend(extra.iter().cloned());
-    writeln!(w, "[")?;
-    for (i, line) in lines.iter().enumerate() {
-        let sep = if i + 1 < lines.len() { "," } else { "" };
-        writeln!(w, "{line}{sep}")?;
-    }
-    writeln!(w, "]")
 }
 
 #[cfg(test)]
@@ -671,79 +572,6 @@ mod tests {
         clone.start(9, SpanKind::Upgrade, 2, 0x100, 7);
         clone.finish(9, SpanOutcome::Upgraded, 30);
         assert_eq!(tracer.finished_spans().len(), 1);
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json_one_event_per_line() {
-        let spans = vec![sample_span()];
-        let mut buf = Vec::new();
-        write_chrome_trace(&spans, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with("[\n"));
-        assert!(text.ends_with("]\n"));
-        assert_eq!(text.matches('[').count(), text.matches(']').count());
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
-        assert_eq!(text.matches('"').count() % 2, 0);
-        // 1 metadata + 1 enclosing + 7 phase events; all but the last
-        // event line comma-terminated, so the array is strict JSON.
-        let events: Vec<&str> = text.lines().filter(|l| l.starts_with('{')).collect();
-        assert_eq!(events.len(), 9);
-        for e in &events[..events.len() - 1] {
-            assert!(e.ends_with("},") || e.ends_with('}'), "{e}");
-        }
-        assert!(events.last().unwrap().ends_with('}'));
-        assert!(text.contains("\"name\":\"miss\""));
-        assert!(text.contains("\"outcome\":\"fill_l3\""));
-        assert!(text.contains("\"name\":\"l3_queue\""));
-        assert!(text.contains("\"class\":\"queue\""));
-    }
-
-    #[test]
-    fn chrome_trace_with_extra_track_stays_valid_json() {
-        let spans = vec![sample_span()];
-        let extra = vec![
-            "{\"name\":\"host_stage_us\",\"ph\":\"C\",\"ts\":10,\"pid\":9999,\
-             \"args\":{\"frontend\":3}}"
-                .to_string(),
-        ];
-        let mut buf = Vec::new();
-        write_chrome_trace_with(&spans, &extra, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
-        // The extra track lands inside the array: the last event line is
-        // the host counter, un-comma'd, and its predecessor gained one.
-        let events: Vec<&str> = text.lines().filter(|l| l.starts_with('{')).collect();
-        assert_eq!(events.len(), 10);
-        assert!(events.last().unwrap().contains("host_stage_us"));
-        assert!(events.last().unwrap().ends_with('}'));
-        assert!(events[events.len() - 2].ends_with("},"));
-    }
-
-    #[test]
-    fn chrome_trace_phase_durations_sum_to_span() {
-        let spans = vec![sample_span()];
-        let mut buf = Vec::new();
-        write_chrome_trace(&spans, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let dur_of = |line: &str| -> u64 {
-            let at = line.find("\"dur\":").unwrap() + 6;
-            line[at..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-                .parse()
-                .unwrap()
-        };
-        let mut total = None;
-        let mut phase_sum = 0;
-        for line in text.lines().filter(|l| l.contains("\"ph\":\"X\"")) {
-            if line.contains("\"name\":\"miss\"") {
-                total = Some(dur_of(line));
-            } else {
-                phase_sum += dur_of(line);
-            }
-        }
-        assert_eq!(total, Some(phase_sum));
     }
 
     mod props {

@@ -4,8 +4,8 @@
 //! While [`crate::telemetry`] records *simulated* events to a file after
 //! the fact, this module pushes interval counters and
 //! [`crate::profiler::HostSample`]s out of a *running* simulation so an
-//! external reader (the `telemetry_tail` bin today, a service endpoint
-//! later) can watch the sweep live.
+//! external reader (`report tail` in `cmpsim-bench`) can watch the
+//! sweep live.
 //!
 //! # Wire format
 //!

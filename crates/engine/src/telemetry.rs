@@ -277,6 +277,27 @@ impl SimEvent {
         }
     }
 
+    /// Every tag [`SimEvent::kind`] returns, in declaration order: the
+    /// one list trace readers check kinds against.
+    pub const KINDS: &'static [&'static str] = &[
+        "l2_miss",
+        "l2_fill",
+        "castout_issued",
+        "castout_aborted",
+        "castout_squashed",
+        "castout_snarfed",
+        "castout_accepted",
+        "coherence_update",
+        "wbht_allocate",
+        "wbht_predict",
+        "wbht_mispredict",
+        "retry_switch_flip",
+        "snarf_arbitration",
+        "snarf_buffer_declined",
+        "l3_retry",
+        "interval",
+    ];
+
     /// Serializes to one JSON object (no trailing newline), `t` first.
     pub fn to_json(&self, now: Cycle) -> String {
         let mut s = format!("{{\"t\":{},\"type\":\"{}\"", now, self.kind());
@@ -593,37 +614,6 @@ impl Telemetry {
     }
 }
 
-/// How a run's telemetry should be set up (CLI-facing).
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryConfig {
-    /// JSONL event-trace output path (`--trace-events`); `None` disables
-    /// event tracing.
-    pub trace_path: Option<std::path::PathBuf>,
-    /// Interval-sampler period in cycles (`--interval-stats`); `None`
-    /// disables interval sampling. The paper's retry window (1M cycles at
-    /// full scale) is the natural default period.
-    pub interval: Option<Cycle>,
-}
-
-impl TelemetryConfig {
-    /// Everything off.
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// Builds the [`Telemetry`] handle this config describes.
-    ///
-    /// # Errors
-    ///
-    /// Returns any error from creating the trace file.
-    pub fn build(&self) -> io::Result<Telemetry> {
-        match &self.trace_path {
-            Some(path) => Ok(Telemetry::new(JsonlSink::create(path)?)),
-            None => Ok(Telemetry::disabled()),
-        }
-    }
-}
-
 pub use crate::interval::{IntervalRecord, IntervalSampler, DEFAULT_INTERVAL};
 
 #[cfg(test)]
@@ -692,72 +682,101 @@ mod tests {
         assert!(lines[1].contains("\"reason\":\"read_queue_full\""));
     }
 
+    /// One event of every variant. Each arm of the `match` builds the
+    /// next variant, with no wildcard arm, so a new variant does not
+    /// compile until it is listed here.
+    fn one_of_each() -> Vec<SimEvent> {
+        let mut events = Vec::new();
+        let mut next = Some(SimEvent::L2Miss {
+            l2: 0,
+            line: 1,
+            store: true,
+        });
+        while let Some(ev) = next {
+            next = match &ev {
+                SimEvent::L2Miss { .. } => Some(SimEvent::L2Fill {
+                    l2: 0,
+                    line: 1,
+                    source: FillSource::Memory,
+                    latency: 5,
+                }),
+                SimEvent::L2Fill { .. } => Some(SimEvent::CastoutIssued {
+                    l2: 0,
+                    line: 1,
+                    dirty: false,
+                    snarf_eligible: true,
+                }),
+                SimEvent::CastoutIssued { .. } => Some(SimEvent::CastoutAborted { l2: 0, line: 1 }),
+                SimEvent::CastoutAborted { .. } => Some(SimEvent::CastoutSquashed {
+                    l2: 0,
+                    line: 1,
+                    reason: SquashReason::PeerHasCopy,
+                }),
+                SimEvent::CastoutSquashed { .. } => Some(SimEvent::CastoutSnarfed {
+                    l2: 0,
+                    by: 3,
+                    line: 1,
+                }),
+                SimEvent::CastoutSnarfed { .. } => {
+                    Some(SimEvent::CastoutAccepted { l2: 0, line: 1 })
+                }
+                SimEvent::CastoutAccepted { .. } => {
+                    Some(SimEvent::CoherenceUpdate { l2: 0, line: 1 })
+                }
+                SimEvent::CoherenceUpdate { .. } => Some(SimEvent::WbhtAllocate { l2: 0, line: 1 }),
+                SimEvent::WbhtAllocate { .. } => Some(SimEvent::WbhtPredict {
+                    l2: 0,
+                    line: 1,
+                    engaged: true,
+                    abort: false,
+                    correct: true,
+                }),
+                SimEvent::WbhtPredict { .. } => Some(SimEvent::WbhtMispredict {
+                    l2: 0,
+                    line: 1,
+                    abort: true,
+                }),
+                SimEvent::WbhtMispredict { .. } => Some(SimEvent::RetrySwitchFlip {
+                    engaged: false,
+                    window_retries: 3,
+                    threshold: 9,
+                }),
+                SimEvent::RetrySwitchFlip { .. } => Some(SimEvent::SnarfArbitration {
+                    l2: 0,
+                    line: 1,
+                    winner: None,
+                }),
+                SimEvent::SnarfArbitration { .. } => {
+                    Some(SimEvent::SnarfBufferDeclined { l2: 0, line: 1 })
+                }
+                SimEvent::SnarfBufferDeclined { .. } => Some(SimEvent::L3Retry {
+                    reason: L3RetryReason::CastoutBufferFull,
+                    line: 1,
+                }),
+                SimEvent::L3Retry { .. } => Some(SimEvent::Interval {
+                    start: 0,
+                    end: 100,
+                    counters: vec![("a", 1), ("b", 2)],
+                }),
+                SimEvent::Interval { .. } => None,
+            };
+            events.push(ev);
+        }
+        events
+    }
+
+    #[test]
+    fn kinds_lists_every_variant_once() {
+        let kinds: Vec<&str> = one_of_each().iter().map(SimEvent::kind).collect();
+        for kind in &kinds {
+            assert!(SimEvent::KINDS.contains(kind), "{kind} missing from KINDS");
+        }
+        assert_eq!(kinds.len(), SimEvent::KINDS.len());
+    }
+
     #[test]
     fn event_json_is_balanced_for_all_variants() {
-        let events = [
-            SimEvent::L2Miss {
-                l2: 0,
-                line: 1,
-                store: true,
-            },
-            SimEvent::L2Fill {
-                l2: 0,
-                line: 1,
-                source: FillSource::Memory,
-                latency: 5,
-            },
-            SimEvent::CastoutIssued {
-                l2: 0,
-                line: 1,
-                dirty: false,
-                snarf_eligible: true,
-            },
-            SimEvent::CastoutAborted { l2: 0, line: 1 },
-            SimEvent::CastoutSquashed {
-                l2: 0,
-                line: 1,
-                reason: SquashReason::PeerHasCopy,
-            },
-            SimEvent::CastoutSnarfed {
-                l2: 0,
-                by: 3,
-                line: 1,
-            },
-            SimEvent::CastoutAccepted { l2: 0, line: 1 },
-            SimEvent::WbhtAllocate { l2: 0, line: 1 },
-            SimEvent::WbhtPredict {
-                l2: 0,
-                line: 1,
-                engaged: true,
-                abort: false,
-                correct: true,
-            },
-            SimEvent::WbhtMispredict {
-                l2: 0,
-                line: 1,
-                abort: true,
-            },
-            SimEvent::RetrySwitchFlip {
-                engaged: false,
-                window_retries: 3,
-                threshold: 9,
-            },
-            SimEvent::SnarfArbitration {
-                l2: 0,
-                line: 1,
-                winner: None,
-            },
-            SimEvent::SnarfBufferDeclined { l2: 0, line: 1 },
-            SimEvent::L3Retry {
-                reason: L3RetryReason::CastoutBufferFull,
-                line: 1,
-            },
-            SimEvent::Interval {
-                start: 0,
-                end: 100,
-                counters: vec![("a", 1), ("b", 2)],
-            },
-        ];
+        let events = one_of_each();
         for ev in &events {
             let j = ev.to_json(42);
             assert!(j.starts_with("{\"t\":42,\"type\":\""), "{j}");

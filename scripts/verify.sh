@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo build --release -p cmpsim-bench"
+# The root build makes only cmpsim; the gates below run exp, report and
+# bench_throughput from target/release, so build them explicitly.
+cargo build --release -p cmpsim-bench
+
 echo "==> cargo test --workspace -q"
 # Every crate's suite, not only the root package's: per-crate unit and
 # integration tests (among them the cmpsim-cache mirror suite, which
@@ -74,33 +79,33 @@ echo "==> decision-audit overhead gate (scripts/bench.sh --audit-overhead)"
 # cycles/sec when on (and exactly nothing when off — see the next gate).
 ./scripts/bench.sh --audit-overhead
 
-echo "==> decision-audit consistency gate (policy_audit --check)"
+echo "==> decision-audit consistency gate (report audit --check)"
 # Audit-on metrics minus the audit_* section must be byte-identical to
 # audit-off, and (nearly) every recorded decision must resolve.
-CMPSIM_PROFILE=smoke ./target/release/policy_audit --check >/dev/null
+CMPSIM_PROFILE=smoke ./target/release/report audit --check >/dev/null
 
 echo "==> policy face-off harness gate (exp policy-faceoff --check)"
 # Every contender must complete, the new policies must populate their
 # report sections, and the span attribution must record fills.
 CMPSIM_PROFILE=smoke ./target/release/exp policy-faceoff --check
 
-echo "==> live telemetry stream smoke (profile_report + telemetry_tail)"
+echo "==> live telemetry stream smoke (report profile + report tail)"
 # End to end: a --jobs 2 grid serves frames on a Unix socket while a
 # tail attaches, consumes at least one host sample, and exits 0.
 tel_sock="./target/verify-telemetry.sock"
 rm -f "$tel_sock"
-CMPSIM_PROFILE=smoke ./target/release/profile_report --jobs 2 \
+CMPSIM_PROFILE=smoke ./target/release/report profile --jobs 2 \
     --stream-telemetry="$tel_sock" --wait-client 15 --check >/dev/null &
 tel_pid=$!
-if ! ./target/release/telemetry_tail --once --wait 15 "$tel_sock" >/dev/null; then
+if ! ./target/release/report tail --once --wait 15 "$tel_sock" >/dev/null; then
     kill "$tel_pid" 2>/dev/null || true
     rm -f "$tel_sock"
-    echo "verify: FAILED — telemetry_tail could not consume a live host sample" >&2
+    echo "verify: FAILED — report tail could not consume a live host sample" >&2
     exit 1
 fi
 if ! wait "$tel_pid"; then
     rm -f "$tel_sock"
-    echo "verify: FAILED — profile_report failed under a live stream (coverage < 95%?)" >&2
+    echo "verify: FAILED — report profile failed under a live stream (coverage < 95%?)" >&2
     exit 1
 fi
 rm -f "$tel_sock"

@@ -22,15 +22,14 @@
 use std::io::{self, Write};
 use std::process::ExitCode;
 
-use cmp_hierarchies::adaptive::{
-    chrome_decision_events, PolicyConfig, RunReport, System, SystemConfig, UpdateScope,
-};
+use cmp_hierarchies::adaptive::{PolicyConfig, RunReport, System, SystemConfig, UpdateScope};
+use cmp_hierarchies::engine::chrome::ChromeTrace;
 use cmp_hierarchies::engine::metrics::{Metric, MetricsRegistry};
-use cmp_hierarchies::engine::profiler::{chrome_host_events, HostProfiler, DEFAULT_STRIDE};
+use cmp_hierarchies::engine::profiler::{HostProfiler, DEFAULT_STRIDE};
 use cmp_hierarchies::engine::progress::ProgressMeter;
-use cmp_hierarchies::engine::spans::{write_chrome_trace_with, SpanTracer};
+use cmp_hierarchies::engine::spans::SpanTracer;
 use cmp_hierarchies::engine::stream::TelemetryStream;
-use cmp_hierarchies::engine::telemetry::{TelemetryConfig, DEFAULT_INTERVAL};
+use cmp_hierarchies::engine::telemetry::{JsonlSink, Telemetry, DEFAULT_INTERVAL};
 use cmp_hierarchies::engine::Cycle;
 use cmp_hierarchies::trace::{file as trace_file, TracePlayback, Workload};
 
@@ -215,7 +214,7 @@ OPTIONS:
                            stream interval counters + host samples as
                            length-prefixed NDJSON to stdout, or serve
                            them on a Unix socket at PATH (attach with
-                           telemetry_tail; combine stdout mode with -q)
+                           report tail; combine stdout mode with -q)
         --progress[=SECS]  heartbeat to stderr every SECS wall-seconds
                            (cycles, cycles/sec EMA, ETA) [5]
     -q, --quiet            suppress the human-readable report (also
@@ -224,14 +223,15 @@ OPTIONS:
 
 OBSERVABILITY:
     --trace-events, --interval-stats, --trace-spans, --profile-host, and
-    --stream-telemetry are zero-cost when off. The JSONL event trace can
-    be summarized with the telemetry_report tool; span traces feed
-    Perfetto and span_report:
+    --stream-telemetry are zero-cost when off. The `report` tool (in
+    cmpsim-bench) reads their output: `report events` summarizes the
+    JSONL event trace and `report tail` follows a stream. Span traces
+    open in Perfetto; `report spans` prints their attribution:
         cmpsim -p combined --trace-events out.jsonl --interval-stats 100000
-        telemetry_report out.jsonl
+        report events out.jsonl
         cmpsim -p combined --trace-spans spans.json --span-sample 16
         cmpsim -p combined --profile-host --trace-spans spans.json
-        cmpsim -q --stream-telemetry | telemetry_tail -";
+        cmpsim -q --stream-telemetry | report tail -";
 
 fn main() -> ExitCode {
     match real_main() {
@@ -297,13 +297,12 @@ fn real_main() -> Result<(), String> {
         }
     };
 
-    let tel_cfg = TelemetryConfig {
-        trace_path: args.trace_events.clone().map(Into::into),
-        interval: args.interval_stats,
+    let telemetry = match &args.trace_events {
+        Some(path) => Telemetry::new(
+            JsonlSink::create(path).map_err(|e| format!("--trace-events {path}: {e}"))?,
+        ),
+        None => Telemetry::disabled(),
     };
-    let telemetry = tel_cfg
-        .build()
-        .map_err(|e| format!("--trace-events: {e}"))?;
     if telemetry.is_enabled() {
         sys.set_telemetry(telemetry.clone());
     }
@@ -357,12 +356,15 @@ fn real_main() -> Result<(), String> {
 
     if let Some(path) = &args.trace_spans {
         let file = std::fs::File::create(path).map_err(|e| format!("--trace-spans {path}: {e}"))?;
+        let trace = ChromeTrace {
+            spans: &span_tracer.finished_spans(),
+            host_samples: &host.samples(),
+            decisions: sys.decision_audit().map_or(&[], |a| a.history()),
+        };
         let mut w = std::io::BufWriter::new(file);
-        let mut extras = chrome_host_events(&host.samples());
-        if let Some(a) = sys.decision_audit() {
-            extras.extend(chrome_decision_events(a.history()));
-        }
-        write_chrome_trace_with(&span_tracer.finished_spans(), &extras, &mut w)
+        trace
+            .write(&mut w)
+            .and_then(|()| w.flush())
             .map_err(|e| format!("--trace-spans {path}: {e}"))?;
     }
     if host.is_enabled() && !args.quiet {

@@ -127,3 +127,13 @@ fn trace_naming_threads_past_the_configuration_is_rejected() {
         &["trace record 0", "thread 16", "has 16 threads"],
     );
 }
+
+#[test]
+fn unwritable_trace_events_path_names_the_flag_and_the_path() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("no_such_dir/events.jsonl");
+    let path = path.to_str().unwrap();
+    assert_rejected(
+        &["--trace-events", path, "-n", "10", "-q"],
+        &["--trace-events", path],
+    );
+}

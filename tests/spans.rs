@@ -10,7 +10,8 @@
 //! ```
 
 use cmp_hierarchies::adaptive::{run, PolicyConfig, RetrySwitchConfig, RunSpec, SystemConfig};
-use cmp_hierarchies::engine::spans::{write_chrome_trace, SpanRecord, SpanTracer};
+use cmp_hierarchies::engine::chrome::ChromeTrace;
+use cmp_hierarchies::engine::spans::{SpanRecord, SpanTracer};
 use cmp_hierarchies::engine::telemetry::FillSource;
 use cmp_hierarchies::trace::Workload;
 
@@ -121,7 +122,11 @@ fn tracing_does_not_perturb_the_simulation() {
 fn chrome_trace_export_is_well_formed() {
     let report = run(traced_spec(800, 4)).unwrap();
     let mut buf = Vec::new();
-    write_chrome_trace(&report.spans, &mut buf).unwrap();
+    let trace = ChromeTrace {
+        spans: &report.spans,
+        ..Default::default()
+    };
+    trace.write(&mut buf).unwrap();
     let text = String::from_utf8(buf).unwrap();
     assert!(text.starts_with("[\n"));
     assert!(text.ends_with("]\n"));
@@ -157,7 +162,11 @@ fn golden_span_trace_is_stable() {
     // Keep the golden file small and focused: the first 30 spans.
     let head: Vec<SpanRecord> = report.spans.iter().take(30).cloned().collect();
     let mut buf = Vec::new();
-    write_chrome_trace(&head, &mut buf).unwrap();
+    let trace = ChromeTrace {
+        spans: &head,
+        ..Default::default()
+    };
+    trace.write(&mut buf).unwrap();
     let produced = String::from_utf8(buf).unwrap();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(golden_path, &produced).unwrap();
