@@ -16,9 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use cmp_adaptive_wb::{
-    run as simulate, PolicyConfig, RetrySwitchConfig, RunSpec, SystemConfig, UpdateScope,
-};
+use cmp_adaptive_wb::{run as simulate, PolicyConfig, RunSpec, SystemConfig, UpdateScope};
 use cmpsim_bench::cli::Args;
 use cmpsim_engine::spans::{SpanRecord, SpanSummary, SpanTracer};
 use cmpsim_trace::Workload;
@@ -51,7 +49,8 @@ pub fn run(mut args: Args) -> Result<(), String> {
     let mut cfg = if scale <= 1 {
         SystemConfig::paper()
     } else {
-        SystemConfig::scaled(scale)
+        SystemConfig::try_scaled(scale)
+            .unwrap_or_else(|e| args.fail(format!("--scale {scale}: invalid geometry: {e}")))
     };
     // Tables scale with the caches, as in `cmpsim` without --entries.
     cfg.policy = PolicyConfig::parse(
@@ -62,7 +61,6 @@ pub fn run(mut args: Args) -> Result<(), String> {
     )
     .unwrap_or_else(|e| args.fail(e));
     let mut spec = RunSpec::for_workload(cfg, workload, refs);
-    spec.retry_switch = Some(RetrySwitchConfig::scaled(scale));
     spec.span_tracer = SpanTracer::sampled(sample);
     let report = simulate(spec).map_err(|e| e.to_string())?;
     let summary = report.span_summary.as_ref().expect("tracer was enabled");

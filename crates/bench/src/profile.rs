@@ -1,6 +1,6 @@
 //! Experiment profiles: how large a simulation each experiment runs.
 
-use cmp_adaptive_wb::{RetrySwitchConfig, RunReport, RunSpec, SystemConfig};
+use cmp_adaptive_wb::{RunReport, RunSpec, SystemConfig};
 
 /// Scale profile for experiment runs.
 ///
@@ -77,18 +77,10 @@ impl Profile {
         }
     }
 
-    /// Retry-switch window scaled with the profile (runs are shorter at
-    /// smaller scales, so the observation window shrinks too).
-    pub fn retry_switch(&self) -> RetrySwitchConfig {
-        RetrySwitchConfig::scaled(self.scale_factor)
-    }
-
     /// A run spec for this profile with the given configuration and
     /// workload.
     pub fn spec(&self, config: SystemConfig, workload: cmpsim_trace::Workload) -> RunSpec {
-        let mut spec = RunSpec::for_workload(config, workload, self.refs_per_thread);
-        spec.retry_switch = Some(self.retry_switch());
-        spec
+        RunSpec::for_workload(config, workload, self.refs_per_thread)
     }
 
     /// Scales an absolute table-entry count to this profile (32 K

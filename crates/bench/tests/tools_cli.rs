@@ -64,6 +64,7 @@ fn malformed_arguments_exit_2_in_every_subcommand() {
         &["spans", "-w", "bogus"],
         &["spans", "-p", "wbht+lru"],
         &["spans", "--top"],
+        &["spans", "--scale", "3"],
         &["profile", "--stride=0"],
         &["profile", "--check=yes"],
         &["tail", "--refresh", "0", "-"],

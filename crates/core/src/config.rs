@@ -1,5 +1,6 @@
 //! Whole-system configuration.
 
+use cmpsim_cache::GeometryError;
 use cmpsim_coherence::L2Id;
 use cmpsim_engine::Cycle;
 use cmpsim_mem::{L3Config, MemoryConfig};
@@ -34,10 +35,11 @@ pub enum L3Organization {
     /// snooped ring, absorbing castouts from every L2.
     #[default]
     SharedVictim,
-    /// POWER5-style: each L2 owns a private L3 slice of the same total
-    /// capacity, reached over a dedicated bus. Castouts go only to the
-    /// owner's L3 (no ring address phase, no snoops); a private L3
-    /// serves only its own L2's misses.
+    /// POWER5-style: the L3 level is one partition per L2, of the same
+    /// total capacity, each reached over a dedicated bus; no shared L3
+    /// is built. Castouts go only to the owner's L3 (no ring address
+    /// phase, no snoops) and then resolve like ring castouts; a private
+    /// L3 serves only its own L2's misses.
     PrivatePerL2,
 }
 
@@ -229,17 +231,29 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `factor` does not divide the capacities into valid
-    /// power-of-two geometries.
+    /// Panics where [`try_scaled`](Self::try_scaled) returns an error.
     pub fn scaled(factor: u64) -> Self {
+        Self::try_scaled(factor).expect("scaled geometry must be valid")
+    }
+
+    /// [`scaled`](Self::scaled) for a `factor` that may come from user
+    /// input (`--scale`).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`GeometryError`] of a zero `factor` or of one that
+    /// does not divide the capacities into valid power-of-two
+    /// geometries.
+    pub fn try_scaled(factor: u64) -> Result<Self, GeometryError> {
         let mut c = Self::paper();
+        // First: it rejects a zero factor before the divisions below.
+        c.l3 = L3Config::try_scaled(factor)?;
         c.l2_slice_bytes = (512 * 1024 / factor).max(16 * 1024);
-        c.l3 = L3Config::scaled(factor);
         if let Some(l1) = &mut c.l1 {
             l1.size_bytes = (l1.size_bytes / factor).max(4 * 1024);
         }
         c.retry_switch = RetrySwitchConfig::scaled(factor);
-        c
+        Ok(c)
     }
 
     /// The paper's machine scaled *out* to `cores` cores: structure and
@@ -358,6 +372,21 @@ mod tests {
         for f in [2, 4, 8, 16] {
             let c = SystemConfig::scaled(f);
             assert!(c.validate().is_ok(), "factor {f}");
+        }
+    }
+
+    #[test]
+    fn unscalable_factor_is_an_error_not_a_panic() {
+        assert_eq!(
+            SystemConfig::try_scaled(3).unwrap_err(),
+            GeometryError::NotPowerOfTwo("size_bytes", 1_398_101)
+        );
+        assert_eq!(
+            SystemConfig::try_scaled(0).unwrap_err(),
+            GeometryError::Zero("scale factor")
+        );
+        for f in [1000, 4096, 65536] {
+            assert!(SystemConfig::try_scaled(f).is_err(), "factor {f}");
         }
     }
 

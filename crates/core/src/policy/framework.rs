@@ -157,11 +157,6 @@ impl PolicyStack {
         self.hybrid.is_some()
     }
 
-    /// Replaces the retry-rate switch configuration (testing knob).
-    pub fn set_retry_switch(&mut self, cfg: RetrySwitchConfig) {
-        self.retry_switch = RetrySwitch::new(cfg);
-    }
-
     /// Attaches an event-trace handle to the switch and the mechanisms
     /// that emit events.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {

@@ -10,7 +10,7 @@ use cmpsim_engine::Cycle;
 use cmpsim_trace::{Workload, WorkloadParams};
 
 use crate::config::SystemConfig;
-use crate::policy::{HybridStats, RdcbStats, RetrySwitchConfig, SnarfStats, WbhtStats};
+use crate::policy::{HybridStats, RdcbStats, SnarfStats, WbhtStats};
 use crate::system::{DecisionAuditSummary, System, SystemError, SystemStats};
 
 /// Everything one simulation run produced.
@@ -169,8 +169,6 @@ pub struct RunSpec {
     pub workload: WorkloadParams,
     /// References each thread executes.
     pub refs_per_thread: u64,
-    /// Retry-switch override (scaled windows for scaled runs).
-    pub retry_switch: Option<RetrySwitchConfig>,
     /// Event-trace handle (disabled by default: zero cost).
     pub telemetry: Telemetry,
     /// Interval-sampling period in cycles, when set.
@@ -200,7 +198,6 @@ impl RunSpec {
             config,
             workload: params,
             refs_per_thread,
-            retry_switch: None,
             telemetry: Telemetry::disabled(),
             interval_stats: None,
             span_tracer: SpanTracer::disabled(),
@@ -235,9 +232,6 @@ pub fn run(spec: RunSpec) -> Result<RunReport, SystemError> {
     let policy = spec.config.policy.label();
     let max_outstanding = spec.config.max_outstanding;
     let mut sys = System::new(spec.config, spec.workload)?;
-    if let Some(rs) = spec.retry_switch {
-        sys.set_retry_switch(rs);
-    }
     if spec.telemetry.is_enabled() {
         sys.set_telemetry(spec.telemetry.clone());
     }
@@ -294,6 +288,7 @@ pub fn run(spec: RunSpec) -> Result<RunReport, SystemError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::RetrySwitchConfig;
 
     #[test]
     fn smoke_run_baseline() {

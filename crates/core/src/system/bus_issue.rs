@@ -10,7 +10,6 @@ use cmpsim_engine::spans::{SpanOutcome, SpanPhase};
 use cmpsim_engine::telemetry::SimEvent;
 use cmpsim_engine::Cycle;
 
-use crate::config::L3Organization;
 use crate::policy::ResponseCtx;
 use crate::system::system::Ev;
 use crate::system::System;
@@ -235,20 +234,14 @@ impl System {
                 let t_seen_l3 = self.ring.combined_arrival(t_collect, AgentId::L3);
                 self.spans.mark(sid, SpanPhase::SnoopWindow, t_seen_l3);
                 let invalidate = txn.kind == TxnKind::ReadExclusive;
-                let i = txn.src.index();
-                let occ = self.cfg.l3_link_occupancy;
-                let delay = self.cfg.l3_link_delay;
-                let (ready, _st, l3_wait) = self
-                    .l3_for(i)
-                    .provide_read_timed(t_seen_l3, line, invalidate);
+                let k = self.l3_for(txn.src.index());
+                let (ready, _st, l3_wait) =
+                    self.l3s[k].provide_read_timed(t_seen_l3, line, invalidate);
                 self.spans
                     .mark(sid, SpanPhase::L3Queue, t_seen_l3 + l3_wait);
                 self.spans.mark(sid, SpanPhase::L3Service, ready);
-                let link = match self.cfg.l3_organization {
-                    L3Organization::SharedVictim => &mut self.l3_link,
-                    L3Organization::PrivatePerL2 => &mut self.private_l3_links[i],
-                };
-                link.reserve_for(ready, occ) + delay
+                self.l3_links[k].reserve_for(ready, self.cfg.l3_link_occupancy)
+                    + self.cfg.l3_link_delay
             }
             DataSource::Memory => {
                 self.stats.fills_from_memory += 1;

@@ -1,12 +1,11 @@
 //! Write-back layer: L2 eviction into the snoopable write-back queue,
 //! policy filtering at drain time (WBHT, reuse-distance copy-back),
-//! castout bus issue (ring or private L3 bus), squash/snarf/accept
-//! outcome handling, and redundant-clean-WB accounting.
+//! castout bus issue (ring or private L3 bus) with one squash/snarf/
+//! accept outcome path for both, and redundant-clean-WB accounting.
 
 use cmpsim_cache::LineAddr;
 use cmpsim_coherence::{
-    AgentId, BusTxn, CombinedResponse, L2Id, L2State, SnoopResponse, TxnKind, TxnPath, TxnState,
-    WbOutcome,
+    AgentId, BusTxn, CombinedResponse, L2Id, L2State, TxnKind, TxnState, WbOutcome,
 };
 use cmpsim_engine::spans::{SpanOutcome, SpanPhase};
 use cmpsim_engine::telemetry::{SimEvent, SquashReason};
@@ -18,6 +17,10 @@ use crate::system::system::Ev;
 use crate::system::System;
 
 impl System {
+    /// One castout bus attempt: accounting, then the address phase (the
+    /// snooped ring, or in the private organization the owner's
+    /// dedicated bus to its own L3), then the outcome both phases share
+    /// (retry, squash, snarf or L3 accept, then retire).
     pub(super) fn bus_issue_castout(&mut self, now: Cycle, state: TxnState, dirty: bool) {
         let TxnState { txn, attempt, .. } = state;
         let i = txn.src.index();
@@ -35,15 +38,6 @@ impl System {
         // issue gap. Retries: back-off queueing.
         if attempt == 0 {
             self.spans.mark(sid, SpanPhase::Issue, now);
-        } else {
-            self.spans.mark(sid, SpanPhase::RetryBackoff, now);
-        }
-        if self.cfg.l3_organization == L3Organization::PrivatePerL2 {
-            self.private_castout(now, txn, dirty, attempt);
-            return;
-        }
-
-        if attempt == 0 {
             if dirty {
                 self.stats.wb.dirty_requests += 1;
             } else {
@@ -53,7 +47,6 @@ impl System {
             // New write-back generation: overwriting clears any stale
             // accepted mark from an earlier castout of the same line.
             self.wb_lines.insert(line.raw(), false);
-            self.policy.on_castout_issued(line);
             let snarf_eligible = txn.snarf_eligible;
             self.telemetry.emit(now, || SimEvent::CastoutIssued {
                 l2: i as u32,
@@ -62,43 +55,78 @@ impl System {
                 snarf_eligible,
             });
         } else {
+            self.spans.mark(sid, SpanPhase::RetryBackoff, now);
             self.stats.wb.retried_attempts += 1;
         }
 
-        let src_agent = AgentId::L2(txn.src);
-        let (arb_wait, t_ring) = self.ring.issue_address_timed(now, src_agent);
-        self.spans.mark(sid, SpanPhase::RingArb, now + arb_wait);
-        self.spans.mark(sid, SpanPhase::RingTransit, t_ring);
+        // Address phase: the combined response, the cycle the owner sees
+        // it, and the cycle the data reaches the L3 should it accept.
+        let k = self.l3_for(i);
+        let (combined, t_seen, t_data) = match self.cfg.l3_organization {
+            L3Organization::SharedVictim => {
+                // Only ring castouts train the snarf table, so a private
+                // castout is never snarf-eligible.
+                if attempt == 0 {
+                    self.policy.on_castout_issued(line);
+                }
+                let src_agent = AgentId::L2(txn.src);
+                let (arb_wait, t_ring) = self.ring.issue_address_timed(now, src_agent);
+                self.spans.mark(sid, SpanPhase::RingArb, now + arb_wait);
+                self.spans.mark(sid, SpanPhase::RingTransit, t_ring);
 
-        // Snoop phase (squash/snarf responses: see the snoop layer).
-        // Wall time here is carved out for `HostStage::Snoop` when the
-        // host profiler sampled this dispatch.
-        let t_snoop = if self.host_sampling {
-            cmpsim_engine::profiler::now_ticks()
-        } else {
-            0
+                // Snoop phase (squash/snarf responses: see the snoop
+                // layer). Wall time here is carved out for
+                // `HostStage::Snoop` when the host profiler sampled this
+                // dispatch.
+                let t_snoop = if self.host_sampling {
+                    cmpsim_engine::profiler::now_ticks()
+                } else {
+                    0
+                };
+                let (responses, t_collect) = self.collect_castout_snoops(&txn, dirty, t_ring);
+                if self.host_sampling {
+                    self.host_nested +=
+                        cmpsim_engine::profiler::now_ticks().saturating_sub(t_snoop);
+                }
+
+                let combined = self.collector.combine(&txn, &responses);
+                self.snoop_scratch = responses;
+                let t_seen = self.ring.combined_arrival(t_collect, src_agent);
+                self.spans.mark(sid, SpanPhase::SnoopWindow, t_seen);
+                let mut t_data = t_seen;
+                if let CombinedResponse::Wb(outcome) = combined {
+                    if txn.snarf_eligible {
+                        let winner = match outcome {
+                            WbOutcome::SnarfedBy(p) => Some(p.index() as u32),
+                            _ => None,
+                        };
+                        self.policy
+                            .on_snarf_arbitration(t_seen, i as u32, line, winner);
+                    }
+                    if let WbOutcome::AcceptedByL3 { .. } = outcome {
+                        // The data follows over the L3 link.
+                        t_data = self.l3_links[k].reserve_for(t_seen, self.cfg.l3_link_occupancy)
+                            + self.cfg.l3_link_delay;
+                        self.spans.mark(sid, SpanPhase::DataReturn, t_data);
+                    }
+                }
+                (combined, t_seen, t_data)
+            }
+            L3Organization::PrivatePerL2 => {
+                // §7: no ring address phase and no peer snoops. The
+                // dedicated bus carries the data with the address, and
+                // the owner's L3 answers alone.
+                let arrive = self.l3_links[k].reserve_for(now, self.cfg.l3_link_occupancy)
+                    + self.cfg.l3_link_delay;
+                self.spans.mark(sid, SpanPhase::DataReturn, arrive);
+                let resp = self.l3s[k].snoop_castout(arrive, line, dirty);
+                (self.collector.combine(&txn, &[resp]), arrive, arrive)
+            }
         };
-        let (responses, t_collect) = self.collect_castout_snoops(&txn, dirty, t_ring);
-        if self.host_sampling {
-            self.host_nested += cmpsim_engine::profiler::now_ticks().saturating_sub(t_snoop);
-        }
-
-        let combined = self.collector.combine(&txn, &responses);
-        self.snoop_scratch = responses;
-        let t_seen = self.ring.combined_arrival(t_collect, src_agent);
-        self.spans.mark(sid, SpanPhase::SnoopWindow, t_seen);
 
         let outcome = match combined {
             CombinedResponse::Retry { l3_issued } => {
-                self.record_retry(t_seen, l3_issued);
-                self.queue.push(
-                    t_seen + self.retry_delay(&txn, attempt),
-                    Ev::BusIssue(TxnState {
-                        txn,
-                        path: TxnPath::Castout { dirty },
-                        attempt: attempt + 1,
-                    }),
-                );
+                self.retry_castout(t_seen, l3_issued, state);
                 return;
             }
             CombinedResponse::Wb(o) => o,
@@ -108,14 +136,6 @@ impl System {
         self.trace(line, &|| {
             format!("castout {} from {} outcome {outcome:?}", txn.kind, txn.src)
         });
-        if txn.snarf_eligible {
-            let winner = match outcome {
-                WbOutcome::SnarfedBy(p) => Some(p.index() as u32),
-                _ => None,
-            };
-            self.policy
-                .on_snarf_arbitration(t_seen, i as u32, line, winner);
-        }
         if let Some(a) = &mut self.audit {
             // Terminal outcome for an audited allow verdict: an
             // already-in-L3 squash marks it a missed abort.
@@ -163,23 +183,22 @@ impl System {
                     line: line.raw(),
                 });
                 self.inbound_insert(p.index() as u8, line.raw(), Self::INBOUND_SNARF);
-                let arrival = self.ring.transfer_data(t_seen, src_agent, AgentId::L2(p));
+                let arrival = self
+                    .ring
+                    .transfer_data(t_seen, AgentId::L2(txn.src), AgentId::L2(p));
                 self.spans.mark(sid, SpanPhase::DataReturn, arrival);
                 self.spans.finish(sid, SpanOutcome::Snarfed, arrival);
                 self.queue
                     .push(arrival, Ev::SnarfFill { l2: p, line, dirty });
             }
             WbOutcome::AcceptedByL3 { .. } => {
-                let t_arr = self.l3_link.reserve_for(t_seen, self.cfg.l3_link_occupancy)
-                    + self.cfg.l3_link_delay;
-                self.spans.mark(sid, SpanPhase::DataReturn, t_arr);
-                match self.l3.accept_castout_timed(t_arr, line, dirty) {
+                match self.l3s[k].accept_castout_timed(t_data, line, dirty) {
                     Some((done, victim, l3_wait)) => {
-                        self.spans.mark(sid, SpanPhase::L3Queue, t_arr + l3_wait);
+                        self.spans.mark(sid, SpanPhase::L3Queue, t_data + l3_wait);
                         self.spans.mark(sid, SpanPhase::L3Service, done);
                         self.spans.finish(sid, SpanOutcome::AcceptedL3, done);
                         self.stats.wb.accepted_l3 += 1;
-                        self.telemetry.emit(t_arr, || SimEvent::CastoutAccepted {
+                        self.telemetry.emit(t_data, || SimEvent::CastoutAccepted {
                             l2: i as u32,
                             line: line.raw(),
                         });
@@ -193,15 +212,7 @@ impl System {
                     }
                     None => {
                         // Queue filled between snoop and data arrival.
-                        self.record_retry(t_arr, true);
-                        self.queue.push(
-                            t_arr + self.retry_delay(&txn, attempt),
-                            Ev::BusIssue(TxnState {
-                                txn,
-                                path: TxnPath::Castout { dirty },
-                                attempt: attempt + 1,
-                            }),
-                        );
+                        self.retry_castout(t_data, true, state);
                         return;
                     }
                 }
@@ -214,109 +225,16 @@ impl System {
         self.queue.push(t_seen + 1, Ev::WbDrain(txn.src));
     }
 
-    /// Castout over a dedicated private-L3 bus (§7 organization): no
-    /// ring address phase, no peer snoops, no Snoop Collector — and
-    /// therefore no snarfing. The WBHT still learns from the private
-    /// bus's squash responses.
-    fn private_castout(&mut self, now: Cycle, txn: BusTxn, dirty: bool, attempt: u32) {
-        let i = txn.src.index();
-        let line = txn.line;
-        let sid = txn.span_id();
-        if attempt == 0 {
-            if dirty {
-                self.stats.wb.dirty_requests += 1;
-            } else {
-                self.stats.wb.clean_requests += 1;
-            }
-            self.stats.wb_reuse.total += 1;
-            self.wb_lines.insert(line.raw(), false);
-            self.telemetry.emit(now, || SimEvent::CastoutIssued {
-                l2: i as u32,
-                line: line.raw(),
-                dirty,
-                snarf_eligible: false,
-            });
-        } else {
-            self.stats.wb.retried_attempts += 1;
-        }
-        let occ = self.cfg.l3_link_occupancy;
-        let delay = self.cfg.l3_link_delay;
-        let arrive = self.private_l3_links[i].reserve_for(now, occ) + delay;
-        self.spans.mark(sid, SpanPhase::DataReturn, arrive);
-        let resp = self.l3_for(i).snoop_castout(arrive, line, dirty);
-        self.trace(line, &|| {
-            format!("private castout from {} -> {resp:?}", txn.src)
-        });
-        if !matches!(&resp, SnoopResponse::L3Retry) {
-            if let Some(a) = &mut self.audit {
-                a.resolve_allow(
-                    i,
-                    line.raw(),
-                    matches!(&resp, SnoopResponse::L3Hit(_)) && !dirty,
-                );
-            }
-        }
-        match resp {
-            SnoopResponse::L3Hit(_) if !dirty => {
-                self.spans.finish(sid, SpanOutcome::Squashed, arrive);
-                self.stats.wb.clean_squashed_l3 += 1;
-                self.telemetry.emit(arrive, || SimEvent::CastoutSquashed {
-                    l2: i as u32,
-                    line: line.raw(),
-                    reason: SquashReason::AlreadyInL3,
-                });
-                self.policy.note_redundant_copy_back(arrive, txn.src, line);
-            }
-            SnoopResponse::L3Hit(_) | SnoopResponse::L3Accept => {
-                match self.l3_for(i).accept_castout_timed(arrive, line, dirty) {
-                    Some((done, victim, l3_wait)) => {
-                        self.spans.mark(sid, SpanPhase::L3Queue, arrive + l3_wait);
-                        self.spans.mark(sid, SpanPhase::L3Service, done);
-                        self.spans.finish(sid, SpanOutcome::AcceptedL3, done);
-                        self.stats.wb.accepted_l3 += 1;
-                        self.telemetry.emit(arrive, || SimEvent::CastoutAccepted {
-                            l2: i as u32,
-                            line: line.raw(),
-                        });
-                        if let Some(accepted) = self.wb_lines.get_mut(&line.raw()) {
-                            *accepted = true;
-                        }
-                        self.stats.wb_reuse.accepted += 1;
-                        if let Some(v) = victim {
-                            self.mem.write(done, v);
-                        }
-                    }
-                    None => {
-                        self.record_retry(arrive, true);
-                        self.queue.push(
-                            arrive + self.retry_delay(&txn, attempt),
-                            Ev::BusIssue(TxnState {
-                                txn,
-                                path: TxnPath::Castout { dirty },
-                                attempt: attempt + 1,
-                            }),
-                        );
-                        return;
-                    }
-                }
-            }
-            SnoopResponse::L3Retry => {
-                self.record_retry(arrive, true);
-                self.queue.push(
-                    arrive + self.retry_delay(&txn, attempt),
-                    Ev::BusIssue(TxnState {
-                        txn,
-                        path: TxnPath::Castout { dirty },
-                        attempt: attempt + 1,
-                    }),
-                );
-                return;
-            }
-            other => unreachable!("private L3 castout response {other:?}"),
-        }
-        self.l2s[i].wbq.remove(line);
-        self.l2s[i].castouts_inflight.remove(&line);
-        self.queue.push(arrive + 1, Ev::WbDrain(txn.src));
+    /// Counts a retry of castout attempt `state` at `at` and re-issues
+    /// the castout after its back-off.
+    fn retry_castout(&mut self, at: Cycle, l3_issued: bool, state: TxnState) {
+        self.record_retry(at, l3_issued);
+        let retry_at = at + self.retry_delay(&state.txn, state.attempt);
+        let next = TxnState {
+            attempt: state.attempt + 1,
+            ..state
+        };
+        self.queue.push(retry_at, Ev::BusIssue(next));
     }
 
     pub(super) fn handle_wb_drain(&mut self, now: Cycle, l2id: L2Id) {
@@ -349,10 +267,7 @@ impl System {
             // victim entered the queue (§2).
             if !entry.dirty && self.policy.filters_clean_castouts() {
                 let engaged = self.policy.castout_gate_engaged(now);
-                let in_l3 = match self.cfg.l3_organization {
-                    L3Organization::SharedVictim => self.l3.peek(entry.line),
-                    L3Organization::PrivatePerL2 => self.private_l3s[i].peek(entry.line),
-                };
+                let in_l3 = self.l3s[self.l3_for(i)].peek(entry.line);
                 let ctx = CastoutCtx {
                     now,
                     l2: i,

@@ -9,7 +9,6 @@ use cmpsim_cache::{InsertPosition, LineAddr};
 use cmpsim_coherence::{L2Id, L2State};
 use cmpsim_engine::Cycle;
 
-use crate::config::L3Organization;
 use crate::system::l2::SnarfFlags;
 use crate::system::system::Ev;
 use crate::system::thread::Park;
@@ -154,15 +153,10 @@ impl System {
             }
         }
         if l3_done.is_none() {
-            match self.cfg.l3_organization {
-                L3Organization::SharedVictim => self.l3.invalidate(line),
-                L3Organization::PrivatePerL2 => {
-                    // A stale copy may sit in any private L3 (the line
-                    // may have been cast out by a previous owner).
-                    for l3 in &mut self.private_l3s {
-                        l3.invalidate(line);
-                    }
-                }
+            // Every L3 in the list: a stale copy may sit in any private
+            // partition (a previous owner may have cast the line out).
+            for l3 in &mut self.l3s {
+                l3.invalidate(line);
             }
         }
     }
@@ -286,7 +280,8 @@ impl System {
                 // Resources changed since the snoop; fall back to the L3
                 // (dirty data must not be dropped).
                 if dirty {
-                    match self.l3.accept_castout(now, line, true) {
+                    let k = self.l3_for(i);
+                    match self.l3s[k].accept_castout(now, line, true) {
                         Some((done, victim)) => {
                             if let Some(v) = victim {
                                 self.mem.write(done, v);
@@ -426,6 +421,6 @@ mod tests {
         assert_eq!(sys.l2s[1].state_of(line), None);
         assert!(!sys.l2s[2].wbq.contains(line));
         assert!(!sys.l1s[2].load(line));
-        assert!(!sys.l3.peek(line));
+        assert!(!sys.l3().peek(line));
     }
 }

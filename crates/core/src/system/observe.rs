@@ -12,20 +12,12 @@ use cmpsim_engine::telemetry::{IntervalRecord, IntervalSampler, SimEvent, Teleme
 use cmpsim_engine::Cycle;
 use cmpsim_mem::{L3Cache, MemoryController};
 
-use crate::config::L3Organization;
-use crate::policy::RetrySwitchConfig;
 use crate::system::audit::DecisionAudit;
 use crate::system::audit_report::DecisionAuditSummary;
 use crate::system::stats::SystemStats;
 use crate::system::System;
 
 impl System {
-    /// Replaces the adaptive retry-rate switch (§6) configuration.
-    pub fn set_retry_switch(&mut self, cfg: RetrySwitchConfig) {
-        self.policy.set_retry_switch(cfg);
-        self.policy.attach_telemetry(&self.telemetry);
-    }
-
     /// Attaches an event-trace handle and propagates clones of it to
     /// every instrumented component (L2s, the policy stack and its
     /// retry switch, and the L3s).
@@ -34,8 +26,7 @@ impl System {
             l2.attach_telemetry(telemetry.clone());
         }
         self.policy.attach_telemetry(&telemetry);
-        self.l3.attach_telemetry(telemetry.clone());
-        for l3 in &mut self.private_l3s {
+        for l3 in &mut self.l3s {
             l3.attach_telemetry(telemetry.clone());
         }
         self.telemetry = telemetry;
@@ -260,38 +251,34 @@ impl System {
         self.queue.popped()
     }
 
-    /// The L3 model (for oracle peeks and statistics). In the private
-    /// organization this is the (unused) shared instance; use
-    /// [`l3_stats`](Self::l3_stats) for aggregate numbers.
+    /// The first L3 in the list (for oracle peeks and statistics): the
+    /// shared victim cache, or L2 0's partition in the private
+    /// organization. [`l3_stats`](Self::l3_stats) aggregates them all.
     pub fn l3(&self) -> &L3Cache {
-        &self.l3
+        &self.l3s[0]
     }
 
-    /// Aggregate L3 statistics across the shared instance or all
-    /// private L3s, whichever the organization uses.
+    /// L3 statistics summed over every L3 in the list (queue high-water
+    /// marks take the maximum).
     pub fn l3_stats(&self) -> cmpsim_mem::L3Stats {
-        match self.cfg.l3_organization {
-            L3Organization::SharedVictim => self.l3.stats(),
-            L3Organization::PrivatePerL2 => {
-                let mut acc = cmpsim_mem::L3Stats::default();
-                for l3 in &self.private_l3s {
-                    let s = l3.stats();
-                    acc.read_hits += s.read_hits;
-                    acc.read_misses += s.read_misses;
-                    acc.reads_served += s.reads_served;
-                    acc.castouts_accepted += s.castouts_accepted;
-                    acc.castouts_squashed += s.castouts_squashed;
-                    acc.retries_issued += s.retries_issued;
-                    acc.invalidations += s.invalidations;
-                    acc.dirty_victims_to_memory += s.dirty_victims_to_memory;
-                    acc.read_queue_high_water =
-                        acc.read_queue_high_water.max(s.read_queue_high_water);
-                    acc.data_queue_high_water =
-                        acc.data_queue_high_water.max(s.data_queue_high_water);
+        self.l3s
+            .iter()
+            .map(L3Cache::stats)
+            .fold(cmpsim_mem::L3Stats::default(), |acc, s| {
+                cmpsim_mem::L3Stats {
+                    read_hits: acc.read_hits + s.read_hits,
+                    read_misses: acc.read_misses + s.read_misses,
+                    reads_served: acc.reads_served + s.reads_served,
+                    castouts_accepted: acc.castouts_accepted + s.castouts_accepted,
+                    castouts_squashed: acc.castouts_squashed + s.castouts_squashed,
+                    retries_issued: acc.retries_issued + s.retries_issued,
+                    invalidations: acc.invalidations + s.invalidations,
+                    dirty_victims_to_memory: acc.dirty_victims_to_memory
+                        + s.dirty_victims_to_memory,
+                    read_queue_high_water: acc.read_queue_high_water.max(s.read_queue_high_water),
+                    data_queue_high_water: acc.data_queue_high_water.max(s.data_queue_high_water),
                 }
-                acc
-            }
-        }
+            })
     }
 
     /// Coherence state of `line` in L2 `l2`, if resident (inspection
@@ -410,11 +397,12 @@ mod tests {
             Box::new(cmpsim_trace::TracePlayback::new("idle", vec![], 16, 1).unwrap()),
         )
         .unwrap();
-        assert_eq!(sys.private_l3s.len(), 4);
+        assert_eq!(sys.l3s.len(), 4);
         let line = LineAddr::new(8);
-        sys.l3_for(0).accept_castout(0, line, false);
-        assert!(sys.private_l3s[0].peek(line));
-        assert!(!sys.private_l3s[1].peek(line));
+        let k = sys.l3_for(0);
+        sys.l3s[k].accept_castout(0, line, false);
+        assert!(sys.l3s[0].peek(line));
+        assert!(!sys.l3s[1].peek(line));
         let agg = sys.l3_stats();
         assert_eq!(agg.castouts_accepted, 1);
     }

@@ -82,7 +82,8 @@ impl System {
             let resp = if txn.kind == TxnKind::Upgrade {
                 SnoopResponse::Null
             } else {
-                self.l3_for(i).snoop_read(t_sn, line)
+                let k = self.l3_for(i);
+                self.l3s[k].snoop_read(t_sn, line)
             };
             let t_resp = t_sn + snoop_lat;
             t_collect = t_collect.max(self.ring.response_at_collector(t_resp, AgentId::L3));
@@ -154,7 +155,8 @@ impl System {
         // L3 snoop.
         {
             let t_sn = self.ring.snoop_arrival(t_ring, src_agent, AgentId::L3);
-            let resp = self.l3.snoop_castout(t_sn, line, dirty);
+            let k = self.l3_for(i);
+            let resp = self.l3s[k].snoop_castout(t_sn, line, dirty);
             let t_resp = t_sn + self.cfg.l2_snoop_cycles;
             t_collect = t_collect.max(self.ring.response_at_collector(t_resp, AgentId::L3));
             responses.push(resp);

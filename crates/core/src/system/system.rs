@@ -102,14 +102,13 @@ pub struct System {
     pub(super) queue: EventQueue<Ev>,
     pub(super) ring: Ring,
     pub(super) collector: SnoopCollector,
-    pub(super) l3: L3Cache,
-    /// POWER5-style chip-private L3s (one per L2) when the configuration
-    /// selects [`L3Organization::PrivatePerL2`]; empty otherwise.
-    pub(super) private_l3s: Vec<L3Cache>,
+    /// The L3 level: one shared victim cache, or (the organization is
+    /// [`L3Organization::PrivatePerL2`]) one partition per L2.
+    /// [`l3_for`](Self::l3_for) maps an L2 to its entry.
+    pub(super) l3s: Vec<L3Cache>,
+    /// The off-chip pathway to each entry of [`l3s`](Self::l3s).
+    pub(super) l3_links: Vec<Channel>,
     pub(super) mem: MemoryController,
-    pub(super) l3_link: Channel,
-    /// Dedicated per-L2 buses to the private L3s.
-    pub(super) private_l3_links: Vec<Channel>,
     pub(super) mem_link: Channel,
     pub(super) l2s: Vec<L2Unit>,
     pub(super) l1s: Vec<L1Cache>,
@@ -270,8 +269,8 @@ impl System {
         let ring = Ring::new(topo, cfg.ring);
         let num_l2 = cfg.num_l2 as usize;
 
-        let (private_l3s, private_l3_links) = match cfg.l3_organization {
-            L3Organization::SharedVictim => (Vec::new(), Vec::new()),
+        let (l3_cfg, num_l3) = match cfg.l3_organization {
+            L3Organization::SharedVictim => (cfg.l3, 1),
             L3Organization::PrivatePerL2 => {
                 // Same total capacity, partitioned per L2.
                 let mut pc = cfg.l3;
@@ -282,22 +281,17 @@ impl System {
                     cfg.l3.geometry.per_slice().assoc(),
                     cfg.line_bytes,
                 )?;
-                (
-                    (0..cfg.num_l2).map(|_| L3Cache::new(pc)).collect(),
-                    (0..cfg.num_l2)
-                        .map(|_| Channel::new(cfg.l3_link_lanes, cfg.l3_link_occupancy))
-                        .collect(),
-                )
+                (pc, num_l2)
             }
         };
         Ok(System {
             ring,
             collector: SnoopCollector::new(),
-            l3: L3Cache::new(cfg.l3),
-            private_l3s,
+            l3s: (0..num_l3).map(|_| L3Cache::new(l3_cfg)).collect(),
+            l3_links: (0..num_l3)
+                .map(|_| Channel::new(cfg.l3_link_lanes, cfg.l3_link_occupancy))
+                .collect(),
             mem: MemoryController::new(cfg.mem),
-            l3_link: Channel::new(cfg.l3_link_lanes, cfg.l3_link_occupancy),
-            private_l3_links,
             mem_link: Channel::new(cfg.mem_link_lanes, cfg.mem_link_occupancy),
             l2s,
             l1s,
@@ -508,11 +502,13 @@ impl System {
         }
     }
 
-    /// The L3 that absorbs L2 `i`'s castouts and serves its misses.
-    pub(super) fn l3_for(&mut self, i: usize) -> &mut L3Cache {
+    /// The index in [`l3s`](Self::l3s) and [`l3_links`](Self::l3_links)
+    /// of the L3 that absorbs L2 `i`'s castouts and serves its misses.
+    #[inline]
+    pub(super) fn l3_for(&self, i: usize) -> usize {
         match self.cfg.l3_organization {
-            L3Organization::SharedVictim => &mut self.l3,
-            L3Organization::PrivatePerL2 => &mut self.private_l3s[i],
+            L3Organization::SharedVictim => 0,
+            L3Organization::PrivatePerL2 => i,
         }
     }
 

@@ -1,6 +1,8 @@
 //! The sliced off-chip L3 victim cache controller.
 
-use cmpsim_cache::{InsertPosition, LineAddr, ReplacementPolicy, SlicedGeometry, TagArray};
+use cmpsim_cache::{
+    GeometryError, InsertPosition, LineAddr, ReplacementPolicy, SlicedGeometry, TagArray,
+};
 use cmpsim_coherence::{L3State, SnoopResponse};
 use cmpsim_engine::telemetry::{L3RetryReason, SimEvent, Telemetry};
 use cmpsim_engine::{Channel, Cycle, SlotPool};
@@ -57,13 +59,26 @@ impl L3Config {
     ///
     /// # Panics
     ///
-    /// Panics if the scaled geometry is invalid (e.g. `factor` not a
-    /// power of two).
+    /// Panics where [`try_scaled`](Self::try_scaled) returns an error.
     pub fn scaled(factor: u64) -> Self {
+        Self::try_scaled(factor).expect("scaled L3 geometry must be valid")
+    }
+
+    /// [`scaled`](Self::scaled) for a `factor` that may come from user
+    /// input.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`GeometryError`] of a zero `factor` or of one that
+    /// does not divide the capacity into a valid geometry (e.g. a
+    /// `factor` that is not a power of two).
+    pub fn try_scaled(factor: u64) -> Result<Self, GeometryError> {
+        if factor == 0 {
+            return Err(GeometryError::Zero("scale factor"));
+        }
         let mut c = Self::paper();
-        c.geometry = SlicedGeometry::new(4, 4 * 1024 * 1024 / factor, 16, 128)
-            .expect("scaled L3 geometry must be valid");
-        c
+        c.geometry = SlicedGeometry::new(4, 4 * 1024 * 1024 / factor, 16, 128)?;
+        Ok(c)
     }
 }
 

@@ -12,6 +12,13 @@ echo "==> cargo build --release -p cmpsim-bench"
 # bench_throughput from target/release, so build them explicitly.
 cargo build --release -p cmpsim-bench
 
+echo "==> cargo check perfbench"
+# The benchmark builds RunReport by struct literal and calls System::set_*,
+# RunSpec::for_workload and SystemConfig::scaled, so an API edit can break
+# it without failing any test. Writes only the git-ignored
+# perfbench/target/ and perfbench/Cargo.lock.
+cargo check --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test --workspace -q"
 # Every crate's suite, not only the root package's: per-crate unit and
 # integration tests (among them the cmpsim-cache mirror suite, which

@@ -259,7 +259,8 @@ fn real_main() -> Result<(), String> {
     let mut cfg = if args.scale <= 1 {
         SystemConfig::paper()
     } else {
-        SystemConfig::scaled(args.scale)
+        SystemConfig::try_scaled(args.scale)
+            .map_err(|e| format!("--scale {}: invalid geometry: {e}", args.scale))?
     };
     cfg.max_outstanding = args.outstanding.clamp(1, 64);
     cfg.seed = args.seed;

@@ -46,6 +46,16 @@ fn outstanding_past_the_u32_range_is_rejected_not_truncated() {
 }
 
 #[test]
+fn scale_without_a_valid_geometry_is_rejected_not_a_panic() {
+    for scale in ["3", "1000", "4096", "65536"] {
+        assert_rejected(
+            &["--scale", scale, "-q"],
+            &[&format!("--scale {scale}: invalid geometry")],
+        );
+    }
+}
+
+#[test]
 fn unknown_policy_lists_the_accepted_names() {
     let names = "baseline|wbht|snarf|combined|rdcb|hybrid";
     assert_rejected(&["-p", "wbht+lru", "-q"], &["unknown policy lru", names]);

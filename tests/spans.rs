@@ -9,7 +9,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test spans golden
 //! ```
 
-use cmp_hierarchies::adaptive::{run, PolicyConfig, RetrySwitchConfig, RunSpec, SystemConfig};
+use cmp_hierarchies::adaptive::{run, PolicyConfig, RunSpec, SystemConfig};
 use cmp_hierarchies::engine::chrome::ChromeTrace;
 use cmp_hierarchies::engine::spans::{SpanRecord, SpanTracer};
 use cmp_hierarchies::engine::telemetry::FillSource;
@@ -19,7 +19,6 @@ fn traced_spec(refs: u64, sample: u64) -> RunSpec {
     let mut cfg = SystemConfig::scaled(16);
     cfg.policy = PolicyConfig::baseline();
     let mut spec = RunSpec::for_workload(cfg, Workload::Trade2, refs);
-    spec.retry_switch = Some(RetrySwitchConfig::scaled(16));
     spec.span_tracer = SpanTracer::sampled(sample);
     spec
 }

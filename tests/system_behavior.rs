@@ -2,25 +2,19 @@
 //! protocol invariants, and policy effects.
 
 use cmp_hierarchies::adaptive::{
-    run, PolicyConfig, RetrySwitchConfig, RunSpec, SnarfConfig, System, SystemConfig, SystemError,
-    UpdateScope, WbhtConfig,
+    run, PolicyConfig, RunSpec, SnarfConfig, System, SystemConfig, SystemError, UpdateScope,
+    WbhtConfig,
 };
 use cmp_hierarchies::trace::Workload;
 
+/// A scale-16 system; `SystemConfig::scaled` also shrinks the
+/// retry-switch window, since runs at 1/16 capacity are far shorter than
+/// a paper-scale 1M-cycle observation window.
 fn cfg_with(policy: PolicyConfig, pressure: u32) -> SystemConfig {
     let mut c = SystemConfig::scaled(16);
     c.policy = policy;
     c.max_outstanding = pressure;
     c
-}
-
-/// A run spec whose retry-switch window is scaled with the hierarchy
-/// (runs at 1/16 capacity are far shorter than a paper-scale 1M-cycle
-/// observation window).
-fn spec_for(cfg: SystemConfig, wl: Workload, refs: u64) -> RunSpec {
-    let mut s = RunSpec::for_workload(cfg, wl, refs);
-    s.retry_switch = Some(RetrySwitchConfig::scaled(16));
-    s
 }
 
 fn wbht(entries: u64) -> PolicyConfig {
@@ -40,7 +34,7 @@ fn snarf(entries: u64) -> PolicyConfig {
 #[test]
 fn simulation_is_deterministic() {
     for policy in [PolicyConfig::baseline(), wbht(1024), snarf(1024)] {
-        let spec = spec_for(cfg_with(policy, 6), Workload::Trade2, 3_000);
+        let spec = RunSpec::for_workload(cfg_with(policy, 6), Workload::Trade2, 3_000);
         let a = run(spec.clone()).unwrap();
         let b = run(spec).unwrap();
         assert_eq!(a.stats.cycles, b.stats.cycles, "policy {}", a.policy);
@@ -54,7 +48,12 @@ fn simulation_is_deterministic() {
 fn all_references_are_processed() {
     let refs = 2_500u64;
     for wl in Workload::all() {
-        let r = run(spec_for(cfg_with(PolicyConfig::baseline(), 4), wl, refs)).unwrap();
+        let r = run(RunSpec::for_workload(
+            cfg_with(PolicyConfig::baseline(), 4),
+            wl,
+            refs,
+        ))
+        .unwrap();
         assert_eq!(r.stats.refs, refs * 16, "{wl}: refs processed");
         assert_eq!(
             r.stats.loads + r.stats.stores,
@@ -94,13 +93,18 @@ fn coherence_invariants_hold_for_every_policy() {
 
 #[test]
 fn wbht_reduces_writeback_requests_under_pressure() {
-    let base = run(spec_for(
+    let base = run(RunSpec::for_workload(
         cfg_with(PolicyConfig::baseline(), 6),
         Workload::Trade2,
         6_000,
     ))
     .unwrap();
-    let with = run(spec_for(cfg_with(wbht(2048), 6), Workload::Trade2, 6_000)).unwrap();
+    let with = run(RunSpec::for_workload(
+        cfg_with(wbht(2048), 6),
+        Workload::Trade2,
+        6_000,
+    ))
+    .unwrap();
     assert!(
         with.stats.wb.clean_aborted > 0,
         "WBHT must abort some clean write-backs"
@@ -121,7 +125,7 @@ fn retry_switch_disengages_at_low_pressure() {
     // At one outstanding load per thread the bus is quiet: the switch
     // must keep the WBHT from making decisions (Figure 2's flat left
     // edge).
-    let low = run(spec_for(
+    let low = run(RunSpec::for_workload(
         cfg_with(wbht(2048), 1),
         Workload::NotesBench,
         4_000,
@@ -135,7 +139,12 @@ fn retry_switch_disengages_at_low_pressure() {
 
 #[test]
 fn snarf_absorbs_and_squashes() {
-    let r = run(spec_for(cfg_with(snarf(2048), 6), Workload::Tp, 6_000)).unwrap();
+    let r = run(RunSpec::for_workload(
+        cfg_with(snarf(2048), 6),
+        Workload::Tp,
+        6_000,
+    ))
+    .unwrap();
     assert!(r.stats.snarf.snarfed > 0, "some castouts must be snarfed");
     assert!(
         r.stats.wb.squashed_peer > 0,
@@ -149,7 +158,7 @@ fn snarf_absorbs_and_squashes() {
 #[test]
 fn castout_outcomes_are_conserved() {
     for wl in Workload::all() {
-        let r = run(spec_for(cfg_with(snarf(2048), 6), wl, 4_000)).unwrap();
+        let r = run(RunSpec::for_workload(cfg_with(snarf(2048), 6), wl, 4_000)).unwrap();
         let outcomes = r.stats.wb.clean_squashed_l3
             + r.stats.wb.squashed_peer
             + r.stats.wb.snarfed
@@ -190,8 +199,8 @@ fn global_scope_allocates_more_wbht_entries() {
         }),
         6,
     );
-    let local = run(spec_for(local_cfg, Workload::Trade2, 5_000)).unwrap();
-    let global = run(spec_for(global_cfg, Workload::Trade2, 5_000)).unwrap();
+    let local = run(RunSpec::for_workload(local_cfg, Workload::Trade2, 5_000)).unwrap();
+    let global = run(RunSpec::for_workload(global_cfg, Workload::Trade2, 5_000)).unwrap();
     // Global updates allocate in all four tables per redundant WB.
     assert!(
         global.wbht.allocated > local.wbht.allocated,
@@ -221,8 +230,8 @@ fn history_aware_replacement_runs_and_differs() {
     plain.history_aware_replacement = false;
     let mut aware = plain.clone();
     aware.history_aware_replacement = true;
-    let a = run(spec_for(plain, Workload::Trade2, 4_000)).unwrap();
-    let b = run(spec_for(aware, Workload::Trade2, 4_000)).unwrap();
+    let a = run(RunSpec::for_workload(plain, Workload::Trade2, 4_000)).unwrap();
+    let b = run(RunSpec::for_workload(aware, Workload::Trade2, 4_000)).unwrap();
     assert!(a.stats.cycles > 0 && b.stats.cycles > 0);
     // The two victim policies must actually diverge on this workload.
     assert_ne!(a.stats.cycles, b.stats.cycles);
@@ -243,8 +252,8 @@ fn wbht_granularity_trades_coverage_for_errors() {
         c.seed = 7;
         c
     };
-    let fine = run(spec_for(mk(1), Workload::Trade2, 5_000)).unwrap();
-    let coarse = run(spec_for(mk(8), Workload::Trade2, 5_000)).unwrap();
+    let fine = run(RunSpec::for_workload(mk(1), Workload::Trade2, 5_000)).unwrap();
+    let coarse = run(RunSpec::for_workload(mk(8), Workload::Trade2, 5_000)).unwrap();
     // Coarse entries cover 8x the lines: with a tiny table they must
     // abort at least as many write-backs...
     assert!(
@@ -280,7 +289,7 @@ fn private_l3_organization_is_coherent() {
 fn l1_can_be_disabled() {
     let mut cfg = cfg_with(PolicyConfig::baseline(), 4);
     cfg.l1 = None;
-    let r = run(spec_for(cfg, Workload::Cpw2, 2_000)).unwrap();
+    let r = run(RunSpec::for_workload(cfg, Workload::Cpw2, 2_000)).unwrap();
     assert_eq!(r.stats.l1_hits, 0);
     assert!(r.stats.cycles > 0);
 }
@@ -305,13 +314,13 @@ fn pressure_increases_runtime_density() {
     // More outstanding misses per thread = more memory-level parallelism
     // = fewer cycles for the same reference stream.
     let refs = 4_000;
-    let r1 = run(spec_for(
+    let r1 = run(RunSpec::for_workload(
         cfg_with(PolicyConfig::baseline(), 1),
         Workload::Cpw2,
         refs,
     ))
     .unwrap();
-    let r6 = run(spec_for(
+    let r6 = run(RunSpec::for_workload(
         cfg_with(PolicyConfig::baseline(), 6),
         Workload::Cpw2,
         refs,
@@ -330,7 +339,12 @@ fn table1_band_clean_redundancy() {
     // Table 1: the fraction of clean write-backs already valid in the
     // L3 is substantial for every workload ("can be greater than 50%").
     for wl in Workload::all() {
-        let r = run(spec_for(cfg_with(PolicyConfig::baseline(), 6), wl, 8_000)).unwrap();
+        let r = run(RunSpec::for_workload(
+            cfg_with(PolicyConfig::baseline(), 6),
+            wl,
+            8_000,
+        ))
+        .unwrap();
         let rate = r.stats.wb.clean_redundant_rate();
         assert!(
             (0.15..0.95).contains(&rate),
@@ -341,7 +355,7 @@ fn table1_band_clean_redundancy() {
 
 #[test]
 fn combined_policy_exercises_both_tables() {
-    let r = run(spec_for(
+    let r = run(RunSpec::for_workload(
         cfg_with(PolicyConfig::combined_paper(), 6),
         Workload::Tp,
         6_000,

@@ -34,12 +34,13 @@ fn combined_cfg() -> SystemConfig {
 
 fn traced_spec(refs: u64) -> (RunSpec, std::sync::Arc<std::sync::Mutex<VecSink>>) {
     let (tel, sink) = Telemetry::with_vec_sink();
-    let mut spec = RunSpec::for_workload(combined_cfg(), Workload::Trade2, refs);
-    // Scaled retry window so the switch actually gets exercised.
-    spec.retry_switch = Some(RetrySwitchConfig {
+    let mut cfg = combined_cfg();
+    // Short retry window so the switch actually gets exercised.
+    cfg.retry_switch = RetrySwitchConfig {
         window: 2_000,
         threshold: 50,
-    });
+    };
+    let mut spec = RunSpec::for_workload(cfg, Workload::Trade2, refs);
     spec.telemetry = tel;
     spec.interval_stats = Some(10_000);
     (spec, sink)
@@ -215,7 +216,6 @@ fn null_sink_overhead_is_negligible() {
 
     let timed = |telemetry: Telemetry| {
         let mut spec = RunSpec::for_workload(combined_cfg(), Workload::Trade2, 20_000);
-        spec.retry_switch = Some(RetrySwitchConfig::scaled(16));
         spec.telemetry = telemetry;
         let t0 = Instant::now();
         let report = run(spec).unwrap();
