@@ -7,9 +7,9 @@
 //! * [`CacheGeometry`] / [`SlicedGeometry`] — size/associativity/slicing
 //!   math with power-of-two validation,
 //! * [`TagArray`] — a set-associative tag array generic over a per-line
-//!   state payload, with LRU / tree-PLRU / random replacement and
-//!   predicate-driven victim selection (used by the snarf mechanism to
-//!   prefer Invalid, then Shared victims),
+//!   state payload, with LRU replacement and predicate-driven victim
+//!   selection (used by the snarf mechanism to prefer Invalid, then
+//!   Shared victims),
 //! * [`MshrFile`] — miss-status holding registers with secondary-miss
 //!   merging,
 //! * [`WriteBackQueue`] — the bounded per-cache castout queue, and

@@ -1,45 +1,18 @@
 //! Replacement policy selection.
 
-/// Replacement policy for a [`TagArray`](crate::TagArray).
+/// Replacement policy for a [`TagArray`](crate::TagArray): true
+/// least-recently-used by per-way recency stamp, the policy of every
+/// cache and history table the paper models (its WBHT is explicitly
+/// LRU).
 ///
-/// The modelled system uses LRU everywhere (the paper's WBHT explicitly
-/// uses LRU); tree-PLRU and random are provided for ablation studies of
-/// the history tables' sensitivity to replacement precision.
+/// LRU is the only variant. The type and the policy argument of
+/// [`TagArray::new`](crate::TagArray::new) and
+/// [`TagArray::try_new`](crate::TagArray::try_new) remain only because
+/// the benchmark crate (`perfbench/`) passes `ReplacementPolicy::Lru`
+/// and changes in its own step; both can go then.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReplacementPolicy {
     /// True least-recently-used via per-way stamps.
     #[default]
     Lru,
-    /// Tree pseudo-LRU (requires power-of-two associativity).
-    TreePlru,
-    /// Uniform random victim selection (deterministic, seeded).
-    Random,
-}
-
-impl std::fmt::Display for ReplacementPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ReplacementPolicy::Lru => "lru",
-            ReplacementPolicy::TreePlru => "tree-plru",
-            ReplacementPolicy::Random => "random",
-        };
-        f.write_str(s)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn display_names() {
-        assert_eq!(ReplacementPolicy::Lru.to_string(), "lru");
-        assert_eq!(ReplacementPolicy::TreePlru.to_string(), "tree-plru");
-        assert_eq!(ReplacementPolicy::Random.to_string(), "random");
-    }
-
-    #[test]
-    fn default_is_lru() {
-        assert_eq!(ReplacementPolicy::default(), ReplacementPolicy::Lru);
-    }
 }

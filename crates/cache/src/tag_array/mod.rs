@@ -107,51 +107,6 @@ impl PackedState for u16 {
 /// Sentinel for "no memoized way" (associativities are far below this).
 pub(crate) const NO_HINT: u32 = u32::MAX;
 
-/// Tree-PLRU bit manipulation.
-///
-/// One `u64` of internal-node "victim points right" bits per set, root
-/// at bit 0, children of node `n` at `2n+1` / `2n+2`.
-pub(crate) mod plru {
-    /// Re-points the victim path away from `way` after a touch.
-    pub(crate) fn touch(bits: &mut u64, assoc: usize, way: usize) {
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = assoc;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if way < mid {
-                // went left: point victim bit right (1)
-                *bits |= 1 << node;
-                node = 2 * node + 1;
-                hi = mid;
-            } else {
-                *bits &= !(1 << node);
-                node = 2 * node + 2;
-                lo = mid;
-            }
-        }
-    }
-
-    /// Follows the victim path to a way index.
-    pub(crate) fn victim(bits: u64, assoc: usize) -> usize {
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = assoc;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if bits & (1 << node) != 0 {
-                // victim bit points right
-                node = 2 * node + 2;
-                lo = mid;
-            } else {
-                node = 2 * node + 1;
-                hi = mid;
-            }
-        }
-        lo
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,36 +204,6 @@ mod tests {
         }
         assert_eq!(t.valid_lines(), 4);
         assert_eq!(t.iter_valid().count(), 4);
-    }
-
-    #[test]
-    fn tree_plru_victimizes_untouched() {
-        let geom = CacheGeometry::new(2048, 4, 128).unwrap(); // 4 sets x 4 ways
-        let mut t: TagArray<u8> = TagArray::new(geom, ReplacementPolicy::TreePlru);
-        // Fill set 0: lines 0,4,8,12.
-        for (i, l) in [0u64, 4, 8, 12].iter().enumerate() {
-            t.insert(LineAddr::new(*l), i as u8, InsertPosition::Mru);
-        }
-        // Touch 0, 8, 4: the root bit last pointed away from way1 (line 4,
-        // left subtree) and the right subtree bit away from way2 (line 8),
-        // so tree-PLRU victimizes way3 = line 12.
-        t.touch(LineAddr::new(0));
-        t.touch(LineAddr::new(8));
-        t.touch(LineAddr::new(4));
-        let ev = t.insert(LineAddr::new(16), 9, InsertPosition::Mru).unwrap();
-        assert_eq!(ev.line, LineAddr::new(12));
-    }
-
-    #[test]
-    fn random_policy_deterministic() {
-        let geom = CacheGeometry::new(1024, 2, 128).unwrap();
-        let mut a: TagArray<u8> = TagArray::new(geom, ReplacementPolicy::Random);
-        let mut b: TagArray<u8> = TagArray::new(geom, ReplacementPolicy::Random);
-        for i in 0..20 {
-            let ea = a.insert(LineAddr::new(i * 4), 0, InsertPosition::Mru);
-            let eb = b.insert(LineAddr::new(i * 4), 0, InsertPosition::Mru);
-            assert_eq!(ea.map(|e| e.line), eb.map(|e| e.line));
-        }
     }
 
     #[test]

@@ -30,15 +30,13 @@
 //! remote slice and mostly miss, so this skips the bulk of scans while
 //! staying exact: the signature is recomputed (not just OR-ed) on every
 //! insert and invalidate, and a false positive only costs the scan that
-//! would have run anyway. Hit results, stamps, victim choices, and the
-//! rng stream are unaffected.
+//! would have run anyway. Hit results, stamps and victim choices are
+//! unaffected.
 
 use std::cell::Cell;
 use std::marker::PhantomData;
 
-use cmpsim_engine::SplitMix64;
-
-use super::{plru, Evicted, InsertPosition, PackedState, WayIdx, NO_HINT};
+use super::{Evicted, InsertPosition, PackedState, WayIdx, NO_HINT};
 use crate::{CacheGeometry, GeometryError, LineAddr, ReplacementPolicy};
 
 /// Line-address width the packed word must be able to tag (48-bit
@@ -90,8 +88,8 @@ impl PackedLine {
 ///
 /// The per-way storage is a single word, laid out struct-of-arrays with
 /// per-set contiguous ways, so the probe loop touches `assoc × 8`
-/// contiguous bytes. Probe results, recency stamps, victim tie-breaks
-/// and the deterministic Random rng stream match a plain
+/// contiguous bytes. Replacement is true LRU by per-way recency stamp.
+/// Probe results, recency stamps and victim tie-breaks match a plain
 /// one-struct-per-way reference model (the randomized mirror tests in
 /// `tests/mirror.rs` enforce it).
 ///
@@ -101,7 +99,6 @@ impl PackedLine {
 #[derive(Debug, Clone)]
 pub struct TagArray<S> {
     geom: CacheGeometry,
-    policy: ReplacementPolicy,
     /// One [`PackedLine`] word per line, `set * assoc + way` indexed.
     words: Box<[PackedLine]>,
     /// Per-set presence signature: the OR of `1 << (tag & 31)` over the
@@ -115,9 +112,7 @@ pub struct TagArray<S> {
     /// (full-width monotone counter; survives invalidation) — see the
     /// module docs.
     stamps: Box<[u64]>,
-    plru: Box<[u64]>,
     stamp: u64,
-    rng: SplitMix64,
     valid_count: u64,
     /// Way memoization: per-set index of the last way that hit (or was
     /// filled), `NO_HINT` when unknown. Hints are *validated* on use
@@ -149,40 +144,27 @@ impl<S: PackedState> TagArray<S> {
     /// What a probe compares: valid bit + tag field.
     const MATCH_MASK: u64 = Self::VALID | Self::TAG_MASK;
 
-    /// Creates an empty tag array.
+    /// Creates an empty LRU tag array (`ReplacementPolicy::Lru` is the
+    /// only policy; see its docs).
     ///
     /// # Errors
     ///
     /// Returns [`GeometryError::PackedTagOverflow`] when the geometry
     /// needs more tag bits than the word has spare (see [`packed_fits`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` is [`ReplacementPolicy::TreePlru`] and the
-    /// associativity is not a power of two.
-    pub fn try_new(geom: CacheGeometry, policy: ReplacementPolicy) -> Result<Self, GeometryError> {
+    pub fn try_new(geom: CacheGeometry, _policy: ReplacementPolicy) -> Result<Self, GeometryError> {
         if !packed_fits(S::BITS, geom.num_sets()) {
             return Err(GeometryError::PackedTagOverflow {
                 state_bits: S::BITS,
                 num_sets: geom.num_sets(),
             });
         }
-        if policy == ReplacementPolicy::TreePlru {
-            assert!(
-                geom.assoc().is_power_of_two(),
-                "tree-PLRU requires power-of-two associativity"
-            );
-        }
         let n = geom.num_lines() as usize;
         Ok(TagArray {
             geom,
-            policy,
             words: vec![PackedLine::default(); n].into_boxed_slice(),
             filters: vec![0; geom.num_sets() as usize].into_boxed_slice(),
             stamps: vec![0; n].into_boxed_slice(),
-            plru: vec![0; geom.num_sets() as usize].into_boxed_slice(),
             stamp: 0,
-            rng: SplitMix64::new(0xCAFE_F00D),
             valid_count: 0,
             way_hint: vec![Cell::new(NO_HINT); geom.num_sets() as usize].into_boxed_slice(),
             set_mask: geom.num_sets() - 1,
@@ -197,8 +179,7 @@ impl<S: PackedState> TagArray<S> {
     /// # Panics
     ///
     /// Panics when the geometry's tag bits do not fit the packed word
-    /// (see [`Self::try_new`]) or on a tree-PLRU policy with
-    /// non-power-of-two associativity.
+    /// (see [`Self::try_new`]).
     pub fn new(geom: CacheGeometry, policy: ReplacementPolicy) -> Self {
         Self::try_new(geom, policy).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -206,11 +187,6 @@ impl<S: PackedState> TagArray<S> {
     /// The geometry this array was built with.
     pub fn geometry(&self) -> CacheGeometry {
         self.geom
-    }
-
-    /// The replacement policy in force.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
     }
 
     /// Number of valid lines currently resident.
@@ -332,24 +308,15 @@ impl<S: PackedState> TagArray<S> {
         let Some((way, _)) = self.probe(line) else {
             return false;
         };
-        self.promote(line, way);
-        true
-    }
-
-    fn promote(&mut self, line: LineAddr, way: WayIdx) {
         self.stamp += 1;
         self.stamps[way] = self.stamp;
-        if self.policy == ReplacementPolicy::TreePlru {
-            let set = (line.raw() & self.set_mask) as usize;
-            let local = way - set * self.assoc;
-            plru::touch(&mut self.plru[set], self.assoc, local);
-        }
+        true
     }
 
     /// Inserts a line, evicting a victim when the set is full.
     ///
     /// Returns the evicted line, if any. The victim is an invalid way when
-    /// one exists, otherwise chosen by the replacement policy.
+    /// one exists, otherwise the least recently used way.
     ///
     /// # Panics
     ///
@@ -416,12 +383,8 @@ impl<S: PackedState> TagArray<S> {
         self.words[way] = PackedLine(Self::VALID | Self::state_bits(state) | tag);
         self.stamps[way] = stamp;
         self.rebuild_filter(set);
-        let local = way - set * self.assoc;
         // A just-filled line is the likeliest next probe target.
-        self.way_hint[set].set(local as u32);
-        if self.policy == ReplacementPolicy::TreePlru && pos == InsertPosition::Mru {
-            plru::touch(&mut self.plru[set], self.assoc, local);
-        }
+        self.way_hint[set].set((way - set * self.assoc) as u32);
         evicted
     }
 
@@ -463,8 +426,8 @@ impl<S: PackedState> TagArray<S> {
     }
 
     /// The way [`insert`](Self::insert) fills for `line`: the first
-    /// invalid way in its set, else the replacement policy's victim.
-    pub fn way_to_fill(&mut self, line: LineAddr) -> WayIdx {
+    /// invalid way in its set, else the LRU victim.
+    pub fn way_to_fill(&self, line: LineAddr) -> WayIdx {
         self.invalid_way(line)
             .unwrap_or_else(|| self.victim_way(line))
     }
@@ -479,33 +442,23 @@ impl<S: PackedState> TagArray<S> {
             .map(|i| base + i)
     }
 
-    /// The way the replacement policy would victimize in this line's set
-    /// (assumes the set has at least one valid way; invalid ways are
-    /// preferred by [`way_to_fill`](Self::way_to_fill) before this is
-    /// consulted).
-    pub fn victim_way(&mut self, line: LineAddr) -> WayIdx {
+    /// The least recently used way in this line's set (assumes the set
+    /// has at least one valid way; invalid ways are preferred by
+    /// [`way_to_fill`](Self::way_to_fill) before this is consulted).
+    /// Scans *all* ways' stamps (invalid ways keep theirs); ties go to
+    /// the lowest way.
+    pub fn victim_way(&self, line: LineAddr) -> WayIdx {
         let range = self.set_range(line);
         let base = range.start;
-        match self.policy {
-            ReplacementPolicy::Lru => {
-                // Scans *all* ways' stamps (invalid ways keep theirs);
-                // ties go to the lowest way.
-                let mut best = base;
-                let mut best_stamp = u64::MAX;
-                for (i, &s) in self.stamps[range].iter().enumerate() {
-                    if s < best_stamp {
-                        best_stamp = s;
-                        best = base + i;
-                    }
-                }
-                best
+        let mut best = base;
+        let mut best_stamp = u64::MAX;
+        for (i, &s) in self.stamps[range].iter().enumerate() {
+            if s < best_stamp {
+                best_stamp = s;
+                best = base + i;
             }
-            ReplacementPolicy::TreePlru => {
-                let set = (line.raw() & self.set_mask) as usize;
-                base + plru::victim(self.plru[set], self.assoc)
-            }
-            ReplacementPolicy::Random => base + self.rng.gen_range(self.geom.assoc()) as usize,
         }
+        best
     }
 
     /// Finds the best victim way among valid ways whose state satisfies

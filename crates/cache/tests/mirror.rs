@@ -2,10 +2,10 @@
 //!
 //! Drives [`TagArray`] and a test-only [`Reference`] model through
 //! identical randomized probe/touch/insert/insert_into/update_state/
-//! invalidate sequences and asserts identical probe results, victims,
-//! recency orderings, and evicted payloads for all three replacement
-//! policies — plus regressions for stale way-hints and geometry extremes
-//! under the packed word-layout rules.
+//! invalidate sequences and asserts identical probe results, LRU
+//! victims, recency orderings, and evicted payloads — plus regressions
+//! for stale way-hints and geometry extremes under the packed
+//! word-layout rules.
 
 use cmpsim_cache::{
     packed_fits, CacheGeometry, Evicted, GeometryError, InsertPosition, LineAddr, PackedLine,
@@ -14,37 +14,28 @@ use cmpsim_cache::{
 use cmpsim_engine::SplitMix64;
 
 /// The semantics [`TagArray`] must keep, written the plain way: one
-/// `Option<(line, state)>` and one full-width recency stamp per way, its
-/// own tree-PLRU walk, and the same `SplitMix64(0xCAFE_F00D)` stream for
-/// Random victims. No packing, no presence filter, no way hints — it
-/// shares no code with the array under test.
+/// `Option<(line, state)>` and one full-width recency stamp per way. No
+/// packing, no presence filter, no way hints — it shares no code with
+/// the array under test.
 struct Reference<S> {
-    policy: ReplacementPolicy,
     sets: u64,
     assoc: usize,
     ways: Vec<Option<(LineAddr, S)>>,
     /// Per-way recency stamp; kept across invalidation, and every way's
     /// stamp (valid or not) takes part in the LRU victim choice.
     stamps: Vec<u64>,
-    /// Per-set tree-PLRU node bits: bit `n` set = node `n`'s victim
-    /// path points right; node `n`'s children are `2n+1` and `2n+2`.
-    plru: Vec<u64>,
     clock: u64,
-    rng: SplitMix64,
 }
 
 impl<S: Copy> Reference<S> {
-    fn new(geom: CacheGeometry, policy: ReplacementPolicy) -> Self {
+    fn new(geom: CacheGeometry) -> Self {
         let n = geom.num_lines() as usize;
         Reference {
-            policy,
             sets: geom.num_sets(),
             assoc: geom.assoc() as usize,
             ways: vec![None; n],
             stamps: vec![0; n],
-            plru: vec![0; geom.num_sets() as usize],
             clock: 0,
-            rng: SplitMix64::new(0xCAFE_F00D),
         }
     }
 
@@ -73,41 +64,12 @@ impl<S: Copy> Reference<S> {
         self.ways.iter().flatten().copied()
     }
 
-    /// Points every tree node on the path to `way` away from it.
-    fn plru_touch(&mut self, set: usize, way: usize) {
-        let levels = self.assoc.trailing_zeros();
-        let mut node = 0;
-        for level in (0..levels).rev() {
-            let right = (way >> level) & 1 == 1;
-            if right {
-                self.plru[set] &= !(1 << node);
-            } else {
-                self.plru[set] |= 1 << node;
-            }
-            node = 2 * node + 1 + right as usize;
-        }
-    }
-
-    fn plru_victim(&self, set: usize) -> usize {
-        let (mut node, mut way) = (0, 0);
-        for _ in 0..self.assoc.trailing_zeros() {
-            let right = (self.plru[set] >> node) & 1 == 1;
-            way = (way << 1) | right as usize;
-            node = 2 * node + 1 + right as usize;
-        }
-        way
-    }
-
     fn touch(&mut self, line: LineAddr) -> bool {
         let Some((way, _)) = self.probe(line) else {
             return false;
         };
         self.clock += 1;
         self.stamps[way] = self.clock;
-        if self.policy == ReplacementPolicy::TreePlru {
-            let set = self.set(line);
-            self.plru_touch(set, way - set * self.assoc);
-        }
         true
     }
 
@@ -125,16 +87,11 @@ impl<S: Copy> Reference<S> {
         self.ways_of(line).find(|&w| self.ways[w].is_none())
     }
 
-    fn victim_way(&mut self, line: LineAddr) -> usize {
-        let ways = self.ways_of(line);
-        match self.policy {
-            // Lowest stamp over every way; the first such way on a tie.
-            ReplacementPolicy::Lru => ways.min_by_key(|&w| (self.stamps[w], w)).unwrap(),
-            ReplacementPolicy::TreePlru => ways.start + self.plru_victim(self.set(line)),
-            ReplacementPolicy::Random => {
-                ways.start + self.rng.gen_range(self.assoc as u64) as usize
-            }
-        }
+    /// Lowest stamp over every way; the first such way on a tie.
+    fn victim_way(&self, line: LineAddr) -> usize {
+        self.ways_of(line)
+            .min_by_key(|&w| (self.stamps[w], w))
+            .unwrap()
     }
 
     /// Mru takes a fresh stamp; Lru sits just under the set's oldest
@@ -166,10 +123,6 @@ impl<S: Copy> Reference<S> {
         let stamp = self.insert_stamp(line, pos);
         let old = self.ways[way].replace((line, state));
         self.stamps[way] = stamp;
-        if self.policy == ReplacementPolicy::TreePlru && pos == InsertPosition::Mru {
-            let set = self.set(line);
-            self.plru_touch(set, way - set * self.assoc);
-        }
         old.map(|(line, state)| Evicted { line, state })
     }
 
@@ -201,9 +154,9 @@ impl<S: Copy> Reference<S> {
 /// One randomized mirror run: every operation must produce the same
 /// observable result on the array and the reference, and the final
 /// resident state (lines, payloads, victim orderings) must match exactly.
-fn mirror_run(policy: ReplacementPolicy, geom: CacheGeometry, line_space: u64, seed: u64) {
-    let mut p: TagArray<u8> = TagArray::new(geom, policy);
-    let mut g: Reference<u8> = Reference::new(geom, policy);
+fn mirror_run(geom: CacheGeometry, line_space: u64, seed: u64) {
+    let mut p: TagArray<u8> = TagArray::new(geom, ReplacementPolicy::Lru);
+    let mut g: Reference<u8> = Reference::new(geom);
     let mut rng = SplitMix64::new(seed);
     for step in 0..30_000u64 {
         let line = LineAddr::new(rng.gen_range(line_space));
@@ -225,7 +178,7 @@ fn mirror_run(policy: ReplacementPolicy, geom: CacheGeometry, line_space: u64, s
                 }
             }
             3 => {
-                // insert_into a policy-chosen way with a non-Mru position
+                // insert_into the LRU-chosen way with a non-Mru position
                 // (the snarf path). Skip when the line is resident
                 // (insert_into does not handle duplicates).
                 if p.probe(line).is_none() {
@@ -283,21 +236,7 @@ fn mirror_run(policy: ReplacementPolicy, geom: CacheGeometry, line_space: u64, s
 #[test]
 fn mirror_lru() {
     let geom = CacheGeometry::new(4096, 8, 128).unwrap(); // 4 sets x 8 ways
-    mirror_run(ReplacementPolicy::Lru, geom, 64, 0x51AB_1E5E);
-}
-
-#[test]
-fn mirror_tree_plru() {
-    let geom = CacheGeometry::new(4096, 8, 128).unwrap();
-    mirror_run(ReplacementPolicy::TreePlru, geom, 64, 0x7EE9_1A02);
-}
-
-#[test]
-fn mirror_random() {
-    // Array and reference consume the same seeded SplitMix64 stream only
-    // on Random victim selection, so the streams stay in lockstep.
-    let geom = CacheGeometry::new(4096, 8, 128).unwrap();
-    mirror_run(ReplacementPolicy::Random, geom, 64, 0xBAD5_EED5);
+    mirror_run(geom, 64, 0x51AB_1E5E);
 }
 
 #[test]
@@ -305,7 +244,7 @@ fn mirror_wider_geometry() {
     // More sets, lower pressure: exercises set indexing and tag
     // reconstruction across set boundaries.
     let geom = CacheGeometry::new(16384, 4, 128).unwrap(); // 32 sets x 4 ways
-    mirror_run(ReplacementPolicy::Lru, geom, 4096, 0x0DDC_0FFE);
+    mirror_run(geom, 4096, 0x0DDC_0FFE);
 }
 
 /// Regression: a way-hint that survives an `invalidate` + re-`insert`
@@ -315,7 +254,7 @@ fn mirror_wider_geometry() {
 fn stale_hint_after_reuse_never_lies() {
     let geom = CacheGeometry::new(2048, 2, 128).unwrap(); // 8 sets x 2 ways
     let mut t: TagArray<u8> = TagArray::new(geom, ReplacementPolicy::Lru);
-    let mut r: Reference<u8> = Reference::new(geom, ReplacementPolicy::Lru);
+    let mut r: Reference<u8> = Reference::new(geom);
     // `a` is set 0, tag 0. `b` is in the same set, and its tag 32 shares
     // tag 0's presence-filter bit, so the probe of `a` gets past the
     // filter to the hint.
@@ -341,7 +280,7 @@ fn stale_hint_after_reuse_never_lies() {
 fn direct_mapped_1_way() {
     // 1-way: every set is a single word; insert always replaces.
     let geom = CacheGeometry::new(1024, 1, 128).unwrap(); // 8 sets x 1 way
-    mirror_run(ReplacementPolicy::Lru, geom, 64, 0xD1CE_0001);
+    mirror_run(geom, 64, 0xD1CE_0001);
     let mut t: TagArray<u8> = TagArray::new(geom, ReplacementPolicy::Lru);
     t.insert(LineAddr::new(0), 1, InsertPosition::Mru);
     let ev = t.insert(LineAddr::new(8), 2, InsertPosition::Mru).unwrap();
@@ -355,7 +294,7 @@ fn max_associativity_single_set() {
     // scans all 32 ways.
     let geom = CacheGeometry::new(4096, 32, 128).unwrap(); // 1 set x 32 ways
     assert_eq!(geom.num_sets(), 1);
-    mirror_run(ReplacementPolicy::Lru, geom, 64, 0xF011_A550);
+    mirror_run(geom, 64, 0xF011_A550);
 }
 
 #[test]

@@ -13,11 +13,9 @@ proptest! {
     #[test]
     fn tag_array_capacity_and_uniqueness(
         lines in proptest::collection::vec(0u64..256, 1..300),
-        policy_idx in 0usize..3,
     ) {
-        let policy = [ReplacementPolicy::Lru, ReplacementPolicy::TreePlru, ReplacementPolicy::Random][policy_idx];
         let geom = CacheGeometry::new(4096, 4, 128).unwrap(); // 8 sets x 4 ways
-        let mut t: TagArray<u16> = TagArray::new(geom, policy);
+        let mut t: TagArray<u16> = TagArray::new(geom, ReplacementPolicy::Lru);
         for &l in &lines {
             let la = LineAddr::new(l);
             if let Some((_, s)) = t.probe(la) {

@@ -109,9 +109,6 @@ impl CombinedResponse {
 pub struct SnoopCollector {
     /// Round-robin pointer for fair snarf-winner selection.
     rr_next: usize,
-    combined: u64,
-    retries: u64,
-    l3_retries: u64,
 }
 
 impl SnoopCollector {
@@ -130,19 +127,11 @@ impl SnoopCollector {
     ///
     /// Panics (debug only) if two agents claim dirty ownership.
     pub fn combine(&mut self, txn: &BusTxn, responses: &[SnoopResponse]) -> CombinedResponse {
-        self.combined += 1;
-        let r = match txn.kind {
+        match txn.kind {
             TxnKind::ReadShared | TxnKind::ReadExclusive => self.combine_read(txn, responses),
             TxnKind::Upgrade => self.combine_upgrade(responses),
             TxnKind::CastoutClean | TxnKind::CastoutDirty => self.combine_castout(txn, responses),
-        };
-        if let CombinedResponse::Retry { l3_issued } = r {
-            self.retries += 1;
-            if l3_issued {
-                self.l3_retries += 1;
-            }
         }
-        r
     }
 
     fn combine_read(&mut self, txn: &BusTxn, responses: &[SnoopResponse]) -> CombinedResponse {
@@ -329,21 +318,6 @@ impl SnoopCollector {
         self.rr_next = winner + 1;
         Some(L2Id::new(winner as u8))
     }
-
-    /// Total transactions combined.
-    pub fn combined_count(&self) -> u64 {
-        self.combined
-    }
-
-    /// Total retry responses issued (any agent).
-    pub fn retry_count(&self) -> u64 {
-        self.retries
-    }
-
-    /// Retries issued by the L3 specifically.
-    pub fn l3_retry_count(&self) -> u64 {
-        self.l3_retries
-    }
 }
 
 #[cfg(test)]
@@ -451,8 +425,6 @@ mod tests {
         // Without one it forces a retry, attributed to the L3.
         let r = c.combine(&txn(TxnKind::ReadShared), &[SnoopResponse::L3Retry]);
         assert_eq!(r, CombinedResponse::Retry { l3_issued: true });
-        assert_eq!(c.l3_retry_count(), 1);
-        assert_eq!(c.retry_count(), 1);
     }
 
     #[test]
@@ -518,7 +490,6 @@ mod tests {
         let mut c = SnoopCollector::new();
         let r = c.combine(&txn(TxnKind::CastoutClean), &[SnoopResponse::L3Retry]);
         assert_eq!(r, CombinedResponse::Retry { l3_issued: true });
-        assert_eq!(c.l3_retry_count(), 1);
     }
 
     #[test]
@@ -639,14 +610,5 @@ mod tests {
             FillSource::L3
         );
         assert_eq!(DataSource::Memory.fill_source(), FillSource::Memory);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut c = SnoopCollector::new();
-        c.combine(&txn(TxnKind::ReadShared), &[SnoopResponse::L3Miss]);
-        c.combine(&txn(TxnKind::ReadShared), &[SnoopResponse::L3Retry]);
-        assert_eq!(c.combined_count(), 2);
-        assert_eq!(c.retry_count(), 1);
     }
 }

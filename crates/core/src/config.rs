@@ -331,8 +331,10 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns [`SystemError::Cores`] when the cores do not pair up onto
-    /// the L2s, and [`SystemError::Geometry`] when a cache geometry is
-    /// invalid.
+    /// the L2s, [`SystemError::Geometry`] when a cache geometry is
+    /// invalid (a WBHT granularity included), and [`SystemError::Table`]
+    /// when a history table's size cannot be built. Nothing is allocated
+    /// before these checks pass.
     pub fn validate(&self) -> Result<(), SystemError> {
         self.check_cores().map_err(SystemError::Cores)?;
         cmpsim_cache::SlicedGeometry::new(
@@ -343,6 +345,10 @@ impl SystemConfig {
         )?;
         if let Some(l1) = &self.l1 {
             cmpsim_cache::CacheGeometry::new(l1.size_bytes, l1.assoc, self.line_bytes)?;
+        }
+        self.policy.check_tables()?;
+        if let Some(wbht) = &self.policy.wbht {
+            wbht.check_granularity()?;
         }
         Ok(())
     }
@@ -443,6 +449,32 @@ mod tests {
             c.check_cores().unwrap_err().to_string(),
             "cores must be a positive multiple of 2 with one L2 per core pair, \
              got 8 cores and 3 L2s"
+        );
+    }
+
+    #[test]
+    fn validate_rejects_unbuildable_history_tables_before_allocating() {
+        use crate::policy::{PolicyConfig, RdcbConfig, WbhtConfig};
+
+        let mut c = SystemConfig::paper();
+        c.policy = PolicyConfig::rdcb(RdcbConfig {
+            entries: 1 << 40,
+            ..Default::default()
+        });
+        let e = c.validate().unwrap_err();
+        assert!(matches!(e, SystemError::Table(_)), "{e}");
+        assert!(
+            e.to_string()
+                .starts_with("invalid history table: rdcb table"),
+            "{e}"
+        );
+        c.policy = PolicyConfig::wbht(WbhtConfig {
+            granularity: 3,
+            ..Default::default()
+        });
+        assert_eq!(
+            c.validate().unwrap_err().to_string(),
+            "invalid geometry: wbht granularity must be a power of two, got 3"
         );
     }
 

@@ -12,7 +12,8 @@
 //!   private L1s, four sliced L2 caches on a bidirectional intrachip
 //!   ring, an off-chip L3 victim cache, and a memory controller;
 //! * [`SystemConfig`] — Table 3's parameters (and scaled-down variants);
-//! * [`run`] / [`RunSpec`] / [`RunReport`] — one-call simulation runs.
+//! * [`run`] / [`RunSpec`] / [`RunReport`] — one-call simulation runs
+//!   over a [`Source`]: a synthetic workload or a recorded trace.
 //!
 //! # Quickstart
 //!
@@ -43,7 +44,7 @@ pub use config::{CoreCountError, L1Config, L3Organization, SystemConfig};
 pub use policy::{
     HybridConfig, PolicyConfig, RdcbConfig, RetrySwitchConfig, SnarfConfig, UpdateScope, WbhtConfig,
 };
-pub use runner::{run, RunReport, RunSpec};
+pub use runner::{run, RunReport, RunSpec, Source};
 pub use system::{
     DecisionAudit, DecisionAuditSummary, InvariantViolation, L2DecisionStats, System, SystemError,
     SystemStats,

@@ -37,6 +37,48 @@ pub use retry_switch::{RetrySwitch, RetrySwitchConfig};
 pub use snarf::{SnarfConfig, SnarfStats, SnarfTable};
 pub use wbht::{UpdateScope, Wbht, WbhtConfig, WbhtStats};
 
+use cmpsim_cache::CacheGeometry;
+
+/// The most entries one history table may have. Figures 4 and 6 sweep
+/// tables up to 64K entries; the bound stops a mistyped size from
+/// allocating the host's memory away before anything can reject it.
+pub const MAX_TABLE_ENTRIES: u64 = 1 << 20;
+
+/// A history-table size no table can be built with: above
+/// [`MAX_TABLE_ENTRIES`], or not a power-of-two number of whole sets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableSizeError {
+    /// The table: `WBHT`, `snarf table`, `rdcb table` or `hybrid table`.
+    pub table: &'static str,
+    /// The entry count it was configured with.
+    pub entries: u64,
+    /// Its associativity.
+    pub assoc: u64,
+}
+
+impl std::fmt::Display for TableSizeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let TableSizeError {
+            table,
+            entries,
+            assoc,
+        } = self;
+        if *entries > MAX_TABLE_ENTRIES {
+            write!(
+                f,
+                "{table} of {entries} entries exceeds the {MAX_TABLE_ENTRIES}-entry limit"
+            )
+        } else {
+            write!(
+                f,
+                "{table} of {entries} entries is not a power-of-two number of {assoc}-way sets"
+            )
+        }
+    }
+}
+
+impl std::error::Error for TableSizeError {}
+
 /// A policy spec named a mechanism [`PolicyConfig::parse`] does not
 /// know.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -214,6 +256,33 @@ impl PolicyConfig {
         Ok(p)
     }
 
+    /// Checks every configured table's size without building (or
+    /// allocating) anything; `System` construction runs this first.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`TableSizeError`], naming its table.
+    pub(crate) fn check_tables(&self) -> Result<(), TableSizeError> {
+        let tables = [
+            self.wbht.map(|c| ("WBHT", c.entries, c.assoc)),
+            self.snarf.map(|c| ("snarf table", c.entries, c.assoc)),
+            self.rdcb.map(|c| ("rdcb table", c.entries, c.assoc)),
+            self.hybrid.map(|c| ("hybrid table", c.entries, c.assoc)),
+        ];
+        for (table, entries, assoc) in tables.into_iter().flatten() {
+            if entries > MAX_TABLE_ENTRIES
+                || CacheGeometry::from_entries(entries, assoc, 1).is_err()
+            {
+                return Err(TableSizeError {
+                    table,
+                    entries,
+                    assoc,
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// A short policy label for reports. The paper's four corners keep
     /// their historical names; other combinations join the active
     /// mechanisms with `+` in canonical order.
@@ -306,6 +375,42 @@ mod tests {
         let msg = e.to_string();
         for name in ["baseline", "wbht", "snarf", "combined", "rdcb", "hybrid"] {
             assert!(msg.contains(name), "{msg}");
+        }
+    }
+
+    #[test]
+    fn table_sizes_are_checked_before_anything_is_built() {
+        let local = UpdateScope::Local;
+        assert_eq!(
+            PolicyConfig::parse("wbht", 3, local, 1)
+                .unwrap()
+                .check_tables(),
+            Err(TableSizeError {
+                table: "WBHT",
+                entries: 3,
+                assoc: 16,
+            })
+        );
+        let e = PolicyConfig::parse("snarf", 8, local, 1)
+            .unwrap()
+            .check_tables()
+            .unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "snarf table of 8 entries is not a power-of-two number of 16-way sets"
+        );
+        // 2^44 entries would ask the host for 128 TiB of tags.
+        let e = PolicyConfig::parse("hybrid", 1 << 44, local, 1)
+            .unwrap()
+            .check_tables()
+            .unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "hybrid table of 17592186044416 entries exceeds the 1048576-entry limit"
+        );
+        for spec in ["wbht", "snarf", "rdcb", "hybrid", "combined"] {
+            let p = PolicyConfig::parse(spec, MAX_TABLE_ENTRIES, local, 1).unwrap();
+            assert_eq!(p.check_tables(), Ok(()), "{spec}");
         }
     }
 

@@ -37,6 +37,24 @@ pub struct WbhtConfig {
     pub granularity: u64,
 }
 
+impl WbhtConfig {
+    /// Checks that the granularity is a power of two (zero is not).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GeometryError::NotPowerOfTwo`] naming the granularity.
+    pub(crate) fn check_granularity(&self) -> Result<(), GeometryError> {
+        if self.granularity.is_power_of_two() {
+            Ok(())
+        } else {
+            Err(GeometryError::NotPowerOfTwo(
+                "wbht granularity",
+                self.granularity,
+            ))
+        }
+    }
+}
+
 impl Default for WbhtConfig {
     fn default() -> Self {
         WbhtConfig {
@@ -121,12 +139,7 @@ impl Wbht {
     /// Returns [`GeometryError`] for invalid entry/associativity shapes
     /// or a non-power-of-two granularity.
     pub fn new(cfg: WbhtConfig) -> Result<Self, GeometryError> {
-        if cfg.granularity == 0 || !cfg.granularity.is_power_of_two() {
-            return Err(GeometryError::NotPowerOfTwo(
-                "wbht granularity",
-                cfg.granularity,
-            ));
-        }
+        cfg.check_granularity()?;
         Ok(Wbht {
             table: HistoryTable::new(cfg.entries, cfg.assoc)?,
             cfg,

@@ -1,4 +1,7 @@
-//! Convenience runner producing a complete report per simulation.
+//! The one run path: [`run`] builds a [`System`] from a [`RunSpec`],
+//! attaches the spec's instruments, runs it and assembles the
+//! [`RunReport`]. The `cmpsim` CLI, the experiment grid and the report
+//! tools all go through it.
 
 use cmpsim_engine::metrics::MetricsRegistry;
 use cmpsim_engine::profiler::{HostProfiler, HostReport};
@@ -7,7 +10,7 @@ use cmpsim_engine::spans::{SpanRecord, SpanSummary, SpanTracer};
 use cmpsim_engine::stream::TelemetryStream;
 use cmpsim_engine::telemetry::{IntervalRecord, Telemetry, DEFAULT_INTERVAL};
 use cmpsim_engine::Cycle;
-use cmpsim_trace::{Workload, WorkloadParams};
+use cmpsim_trace::{ReferenceSource, TracePlayback, Workload, WorkloadParams};
 
 use crate::config::SystemConfig;
 use crate::policy::{HybridStats, RdcbStats, SnarfStats, WbhtStats};
@@ -16,7 +19,8 @@ use crate::system::{DecisionAuditSummary, System, SystemError, SystemStats};
 /// Everything one simulation run produced.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Workload name.
+    /// Workload name: the synthetic workload's, or a trace's playback
+    /// name, which for `cmpsim --trace` is the file's path.
     pub workload: String,
     /// Policy label.
     pub policy: &'static str,
@@ -160,13 +164,33 @@ impl RunReport {
     }
 }
 
+/// Where a run's references come from.
+#[derive(Debug, Clone)]
+pub enum Source {
+    /// A synthetic workload generator, seeded by the configuration.
+    Synthetic(WorkloadParams),
+    /// A recorded trace played back per thread, matching the paper's
+    /// trace-driven method.
+    Trace(TracePlayback),
+}
+
+impl Source {
+    /// The name the run's report carries.
+    pub(crate) fn name(&self) -> &str {
+        match self {
+            Source::Synthetic(params) => &params.name,
+            Source::Trace(playback) => playback.name(),
+        }
+    }
+}
+
 /// Options for a single run.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     /// System configuration (policy, pressure, geometry).
     pub config: SystemConfig,
-    /// Workload parameters.
-    pub workload: WorkloadParams,
+    /// The reference stream.
+    pub source: Source,
     /// References each thread executes.
     pub refs_per_thread: u64,
     /// Event-trace handle (disabled by default: zero cost).
@@ -191,12 +215,11 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Builds a spec for one of the paper's workloads on a configuration.
-    pub fn for_workload(config: SystemConfig, workload: Workload, refs_per_thread: u64) -> Self {
-        let params = workload.params(config.num_threads(), config.cache_scale());
+    /// Builds a spec with every instrument off.
+    pub fn new(config: SystemConfig, source: Source, refs_per_thread: u64) -> Self {
         RunSpec {
             config,
-            workload: params,
+            source,
             refs_per_thread,
             telemetry: Telemetry::disabled(),
             interval_stats: None,
@@ -207,6 +230,12 @@ impl RunSpec {
             progress_secs: None,
             audit: false,
         }
+    }
+
+    /// Builds a spec for one of the paper's workloads on a configuration.
+    pub fn for_workload(config: SystemConfig, workload: Workload, refs_per_thread: u64) -> Self {
+        let params = workload.params(config.num_threads(), config.cache_scale());
+        Self::new(config, Source::Synthetic(params), refs_per_thread)
     }
 }
 
@@ -228,10 +257,13 @@ impl RunSpec {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn run(spec: RunSpec) -> Result<RunReport, SystemError> {
-    let workload_name = spec.workload.name.clone();
+    let workload = spec.source.name().to_string();
     let policy = spec.config.policy.label();
     let max_outstanding = spec.config.max_outstanding;
-    let mut sys = System::new(spec.config, spec.workload)?;
+    let mut sys = match spec.source {
+        Source::Synthetic(params) => System::new(spec.config, params)?,
+        Source::Trace(playback) => System::with_source(spec.config, Box::new(playback))?,
+    };
     if spec.telemetry.is_enabled() {
         sys.set_telemetry(spec.telemetry.clone());
     }
@@ -262,7 +294,7 @@ pub fn run(spec: RunSpec) -> Result<RunReport, SystemError> {
     }
     let stats = sys.run(spec.refs_per_thread);
     Ok(RunReport {
-        workload: workload_name,
+        workload,
         policy,
         max_outstanding,
         stats,

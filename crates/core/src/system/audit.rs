@@ -150,8 +150,8 @@ pub struct DecisionAudit {
     /// Stores to shared lines resolved as base invalidations while a
     /// coherence-adaptive policy was active.
     coherence_invalidations: u64,
-    /// Cumulative per-interval snapshots for the stream and the
-    /// Chrome-trace counter track.
+    /// Cumulative per-interval snapshots for the stream and (through
+    /// the summary) the Chrome-trace counter track.
     history: Vec<DecisionFrame>,
 }
 
@@ -308,11 +308,6 @@ impl DecisionAudit {
         f
     }
 
-    /// The per-interval snapshots recorded so far.
-    pub fn history(&self) -> &[DecisionFrame] {
-        &self.history
-    }
-
     /// End-of-run classification: pending aborts were never re-missed
     /// (correct), pending snarfs never touched (wasted — normally the
     /// still-resident sweep resolves them first), and the retry-switch
@@ -357,6 +352,7 @@ impl DecisionAudit {
             coherence_invalidations: self.coherence_invalidations,
             heat_abort: self.heat_abort.clone(),
             heat_snarf: self.heat_snarf.clone(),
+            history: self.history.clone(),
         }
     }
 }

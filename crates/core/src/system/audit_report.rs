@@ -7,10 +7,11 @@
 //! when its consequence lands. This module owns everything downstream
 //! of resolution — the [`DecisionAuditSummary`] snapshot, its quality
 //! rates and net-cycle model, and `audit_*` metrics export. The
-//! interval history feeds the `decisions` track of
+//! summary's interval history feeds the `decisions` track of
 //! [`cmpsim_engine::chrome::ChromeTrace`].
 
 use cmpsim_engine::metrics::MetricsRegistry;
+use cmpsim_engine::stream::DecisionFrame;
 
 use super::audit::L2DecisionStats;
 
@@ -46,6 +47,9 @@ pub struct DecisionAuditSummary {
     pub heat_abort: Vec<u32>,
     /// Snarf placements per global L2 set (slice-major).
     pub heat_snarf: Vec<u32>,
+    /// Cumulative snapshots, one per closed interval plus the final
+    /// one: the Chrome trace's `decisions` track.
+    pub history: Vec<DecisionFrame>,
 }
 
 fn rate(num: u64, den: u64) -> f64 {

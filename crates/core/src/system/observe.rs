@@ -41,12 +41,6 @@ impl System {
         self.spans = spans;
     }
 
-    /// The attached span tracer (disabled unless
-    /// [`set_span_tracer`](Self::set_span_tracer) was called).
-    pub fn span_tracer(&self) -> &SpanTracer {
-        &self.spans
-    }
-
     /// Enables interval sampling: key counters are snapshotted every
     /// `period` cycles into [`interval_records`](Self::interval_records)
     /// (and, when tracing is on, emitted as [`SimEvent::Interval`]).
@@ -73,12 +67,6 @@ impl System {
         self.host = host;
     }
 
-    /// The attached host profiler (disabled unless
-    /// [`set_host_profiler`](Self::set_host_profiler) was called).
-    pub fn host_profiler(&self) -> &HostProfiler {
-        &self.host
-    }
-
     /// Attaches a live telemetry stream; every frame this system sends
     /// is tagged with `cell` so one stream can multiplex a whole grid.
     pub fn set_stream(&mut self, stream: TelemetryStream, cell: u64) {
@@ -97,11 +85,6 @@ impl System {
     /// default — disabled runs stay byte-identical.
     pub fn enable_decision_audit(&mut self) {
         self.audit = Some(Box::new(DecisionAudit::new(&self.cfg)));
-    }
-
-    /// The attached decision audit, when enabled.
-    pub fn decision_audit(&self) -> Option<&DecisionAudit> {
-        self.audit.as_deref()
     }
 
     /// The audit's resolved aggregates (valid after [`run`](Self::run)),

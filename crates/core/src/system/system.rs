@@ -193,6 +193,8 @@ pub enum SystemError {
     Cores(CoreCountError),
     /// Invalid cache geometry in the configuration.
     Geometry(cmpsim_cache::GeometryError),
+    /// A history-table size no table can be built with.
+    Table(crate::policy::TableSizeError),
     /// Invalid workload parameters.
     Workload(cmpsim_trace::WorkloadError),
 }
@@ -202,6 +204,7 @@ impl std::fmt::Display for SystemError {
         match self {
             SystemError::Cores(e) => write!(f, "invalid core count: {e}"),
             SystemError::Geometry(e) => write!(f, "invalid geometry: {e}"),
+            SystemError::Table(e) => write!(f, "invalid history table: {e}"),
             SystemError::Workload(e) => write!(f, "invalid workload: {e}"),
         }
     }
@@ -212,6 +215,12 @@ impl std::error::Error for SystemError {}
 impl From<cmpsim_cache::GeometryError> for SystemError {
     fn from(e: cmpsim_cache::GeometryError) -> Self {
         SystemError::Geometry(e)
+    }
+}
+
+impl From<crate::policy::TableSizeError> for SystemError {
+    fn from(e: crate::policy::TableSizeError) -> Self {
+        SystemError::Table(e)
     }
 }
 

@@ -5,7 +5,9 @@
 //! always agree). `--trace-events` streams typed simulator events to a
 //! JSONL file, `--interval-stats` samples counters periodically, and
 //! `--trace-spans` writes per-transaction phase timelines as a Chrome
-//! trace-event JSON file loadable in Perfetto.
+//! trace-event JSON file loadable in Perfetto. The flags become one
+//! `RunSpec`; the library's `run` builds, instruments and reports the
+//! simulation, and this binary only prints and writes what it returns.
 //!
 //! ```text
 //! cmpsim [--workload tp|cpw2|notesbench|trade2] [--policy NAME[+NAME...]]
@@ -22,14 +24,15 @@
 use std::io::{self, Write};
 use std::process::ExitCode;
 
-use cmp_hierarchies::adaptive::{PolicyConfig, RunReport, System, SystemConfig, UpdateScope};
+use cmp_hierarchies::adaptive::{
+    run, PolicyConfig, RunReport, RunSpec, Source, SystemConfig, SystemError, UpdateScope,
+};
 use cmp_hierarchies::engine::chrome::ChromeTrace;
 use cmp_hierarchies::engine::metrics::{Metric, MetricsRegistry};
 use cmp_hierarchies::engine::profiler::{HostProfiler, DEFAULT_STRIDE};
-use cmp_hierarchies::engine::progress::ProgressMeter;
 use cmp_hierarchies::engine::spans::SpanTracer;
 use cmp_hierarchies::engine::stream::TelemetryStream;
-use cmp_hierarchies::engine::telemetry::{JsonlSink, Telemetry, DEFAULT_INTERVAL};
+use cmp_hierarchies::engine::telemetry::{JsonlSink, Telemetry};
 use cmp_hierarchies::engine::Cycle;
 use cmp_hierarchies::trace::{file as trace_file, TracePlayback, Workload};
 
@@ -181,7 +184,8 @@ OPTIONS:
     -p, --policy NAME      baseline | wbht | snarf | combined | rdcb |
                            hybrid, joinable with '+' (e.g. wbht+hybrid)
                            [baseline]
-        --entries N        history-table entries (0 = scaled 32K) [0]
+        --entries N        history-table entries, a power of two from 16
+                           to 1048576 (0 = scaled 32K) [0]
     -o, --outstanding N    max outstanding misses/thread (1-6) [6]
     -n, --refs N           references per thread [20000]
         --scale N          capacity divisor vs the paper system [8]
@@ -283,84 +287,55 @@ fn real_main() -> Result<(), String> {
     };
     cfg.policy = PolicyConfig::parse(&args.policy, entries, scope, args.granularity)
         .map_err(|e| e.to_string())?;
+    // Every configuration error surfaces here, before an output file is
+    // opened or a table allocated.
+    cfg.validate().map_err(|e| match e {
+        SystemError::Table(e) => format!("--entries {}: {e}", args.entries),
+        e => e.to_string(),
+    })?;
 
-    let mut sys = match &args.trace {
+    let source = match &args.trace {
         Some(path) => {
             let data = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
             let records = trace_file::read_trace(&data[..]).map_err(|e| format!("{path}: {e}"))?;
             let playback = TracePlayback::new(path.clone(), records, cfg.num_threads(), 1)
                 .map_err(|e| format!("{path}: {e}"))?;
-            System::with_source(cfg.clone(), Box::new(playback)).map_err(|e| e.to_string())?
+            Source::Trace(playback)
         }
-        None => {
-            let params = args.workload.params(cfg.num_threads(), cfg.cache_scale());
-            System::new(cfg.clone(), params).map_err(|e| e.to_string())?
-        }
+        None => Source::Synthetic(args.workload.params(cfg.num_threads(), cfg.cache_scale())),
     };
-
-    let telemetry = match &args.trace_events {
-        Some(path) => Telemetry::new(
+    let mut spec = RunSpec::new(cfg, source, args.refs);
+    if let Some(path) = &args.trace_events {
+        spec.telemetry = Telemetry::new(
             JsonlSink::create(path).map_err(|e| format!("--trace-events {path}: {e}"))?,
-        ),
-        None => Telemetry::disabled(),
-    };
-    if telemetry.is_enabled() {
-        sys.set_telemetry(telemetry.clone());
+        );
     }
-    if let Some(period) = args.interval_stats {
-        sys.enable_interval_sampling(period);
-    }
-    let span_tracer = if args.trace_spans.is_some() {
-        SpanTracer::sampled(args.span_sample)
-    } else {
-        SpanTracer::disabled()
-    };
-    if span_tracer.is_enabled() {
-        sys.set_span_tracer(span_tracer.clone());
+    spec.interval_stats = args.interval_stats;
+    if args.trace_spans.is_some() {
+        spec.span_tracer = SpanTracer::sampled(args.span_sample);
     }
     // Streaming implies the profiler: HostSample frames (gauges, rates,
     // per-stage attribution) are the payload a tail attaches for.
-    let host = if args.profile_host || args.stream_telemetry.is_some() {
-        HostProfiler::with_stride(args.profile_stride)
-    } else {
-        HostProfiler::disabled()
-    };
-    if host.is_enabled() {
-        sys.set_host_profiler(host.clone());
+    if args.profile_host || args.stream_telemetry.is_some() {
+        spec.host_profiler = HostProfiler::with_stride(args.profile_stride);
     }
-    let stream = match &args.stream_telemetry {
+    spec.stream = match &args.stream_telemetry {
         None => TelemetryStream::disabled(),
         Some(None) => TelemetryStream::stdout(),
         Some(Some(path)) => TelemetryStream::listen_unix(std::path::Path::new(path))
             .map_err(|e| format!("--stream-telemetry {path}: {e}"))?,
     };
-    if stream.is_enabled() {
-        sys.set_stream(stream.clone(), 0);
-    }
-    // Host observation samples on the interval cadence; give it one when
-    // the user didn't pick a period (observation only — metrics and
-    // simulated behaviour are untouched).
-    if (host.is_enabled() || stream.is_enabled()) && args.interval_stats.is_none() {
-        sys.enable_interval_sampling(DEFAULT_INTERVAL);
-    }
-    if let Some(secs) = args.progress_secs {
-        if !args.quiet {
-            sys.set_progress(ProgressMeter::new(secs));
-        }
-    }
-    if args.audit {
-        sys.enable_decision_audit();
-    }
+    spec.progress_secs = args.progress_secs.filter(|_| !args.quiet);
+    spec.audit = args.audit;
 
-    let stats = sys.run(args.refs);
-    telemetry.flush();
+    let report = run(spec).map_err(|e| e.to_string())?;
 
     if let Some(path) = &args.trace_spans {
         let file = std::fs::File::create(path).map_err(|e| format!("--trace-spans {path}: {e}"))?;
         let trace = ChromeTrace {
-            spans: &span_tracer.finished_spans(),
-            host_samples: &host.samples(),
-            decisions: sys.decision_audit().map_or(&[], |a| a.history()),
+            spans: &report.spans,
+            host_samples: report.host.as_ref().map_or(&[], |h| &h.samples),
+            decisions: report.audit.as_ref().map_or(&[], |a| &a.history),
         };
         let mut w = std::io::BufWriter::new(file);
         trace
@@ -368,36 +343,10 @@ fn real_main() -> Result<(), String> {
             .and_then(|()| w.flush())
             .map_err(|e| format!("--trace-spans {path}: {e}"))?;
     }
-    if host.is_enabled() && !args.quiet {
-        eprint!("{}", host.report().render());
+    if let Some(host) = report.host.as_ref().filter(|_| !args.quiet) {
+        eprint!("{}", host.render());
     }
 
-    let tracing_spans = span_tracer.is_enabled();
-    let report = RunReport {
-        workload: args
-            .trace
-            .clone()
-            .unwrap_or_else(|| args.workload.name().to_string()),
-        policy: cfg.policy.label(),
-        max_outstanding: cfg.max_outstanding,
-        stats,
-        l3: sys.l3_stats(),
-        mem: sys.memory().stats(),
-        ring: sys.ring_stats(),
-        wbht: sys.wbht_stats(),
-        snarf_table: sys.snarf_table_stats(),
-        rdcb: sys.rdcb_stats(),
-        hybrid: sys.hybrid_stats(),
-        intervals: sys.interval_records().to_vec(),
-        spans: if tracing_spans {
-            span_tracer.finished_spans()
-        } else {
-            Vec::new()
-        },
-        span_summary: tracing_spans.then(|| span_tracer.summary()),
-        host: host.is_enabled().then(|| host.report()),
-        audit: sys.decision_audit_summary(),
-    };
     // One registry feeds every machine-readable format, so JSON and CSV
     // cannot drift apart (they once disagreed on which snarf counter the
     // "snarfed" column reported).

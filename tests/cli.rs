@@ -56,6 +56,24 @@ fn scale_without_a_valid_geometry_is_rejected_not_a_panic() {
 }
 
 #[test]
+fn entries_that_no_table_can_hold_are_rejected_not_an_abort() {
+    // 3 and 8 entries make no power-of-two count of 16-way sets; 2^44
+    // entries once asked the host for 128 TiB and aborted.
+    assert_rejected(
+        &["--entries", "3", "-p", "wbht", "-q"],
+        &["--entries 3", "WBHT"],
+    );
+    assert_rejected(
+        &["--entries", "8", "-p", "snarf", "-q"],
+        &["--entries 8", "snarf table"],
+    );
+    assert_rejected(
+        &["--entries", "0x100000000000", "-p", "wbht", "-q"],
+        &["--entries 17592186044416", "WBHT", "limit"],
+    );
+}
+
+#[test]
 fn unknown_policy_lists_the_accepted_names() {
     let names = "baseline|wbht|snarf|combined|rdcb|hybrid";
     assert_rejected(&["-p", "wbht+lru", "-q"], &["unknown policy lru", names]);

@@ -2,7 +2,7 @@
 //! trace format, replay it through the simulator, and verify the replay
 //! behaves like the paper's trace-fed Mambo runs.
 
-use cmp_hierarchies::adaptive::{System, SystemConfig};
+use cmp_hierarchies::adaptive::{run, RunSpec, Source, System, SystemConfig};
 use cmp_hierarchies::trace::{
     file, ReferenceSource, SyntheticWorkload, ThreadId, TracePlayback, Workload,
 };
@@ -30,6 +30,24 @@ fn recorded_trace_replays_deterministically() {
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.refs, 1_500 * 16);
     assert!(a.cycles > 0);
+}
+
+#[test]
+fn run_over_a_recorded_trace_matches_the_direct_system() {
+    // The runner's trace source builds the same system as
+    // `System::with_source`: identical statistics, and the report
+    // names the workload by the playback name.
+    let cfg = SystemConfig::scaled(16);
+    let params = Workload::Cpw2.params(cfg.num_threads(), cfg.cache_scale());
+    let records = SyntheticWorkload::new(params, 99).unwrap().generate(32_000);
+    let playback = TracePlayback::new("cpw2-trace", records, 16, 1).unwrap();
+
+    let mut sys = System::with_source(cfg.clone(), Box::new(playback.clone())).unwrap();
+    let direct = sys.run(1_500);
+    let report = run(RunSpec::new(cfg, Source::Trace(playback), 1_500)).unwrap();
+    assert_eq!(report.workload, "cpw2-trace");
+    assert_eq!(format!("{:?}", report.stats), format!("{direct:?}"));
+    assert_eq!(report.stats.refs, 1_500 * 16);
 }
 
 #[test]
