@@ -43,7 +43,7 @@ mod wb_queue;
 pub use addr::{Addr, LineAddr};
 pub use config::{CacheGeometry, GeometryError, SlicedGeometry};
 pub use history::{HistoryStats, HistoryTable};
-pub use mshr::{MshrError, MshrFile, MshrId};
+pub use mshr::{MshrError, MshrFile};
 pub use replacement::ReplacementPolicy;
 pub use tag_array::{
     packed_fits, Evicted, InsertPosition, PackedLine, PackedState, TagArray, WayIdx,

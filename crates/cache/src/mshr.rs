@@ -5,17 +5,6 @@ use std::fmt;
 
 use crate::LineAddr;
 
-/// Identifier of an allocated MSHR entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MshrId(usize);
-
-impl MshrId {
-    /// Raw index (for logging).
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// Errors from MSHR allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MshrError {
@@ -72,9 +61,6 @@ pub struct MshrFile<W> {
     len: usize,
     /// Highest simultaneous occupancy seen (for sizing studies).
     high_water: usize,
-    primary: u64,
-    secondary: u64,
-    stalls: u64,
 }
 
 impl<W> MshrFile<W> {
@@ -95,9 +81,6 @@ impl<W> MshrFile<W> {
                 .collect(),
             len: 0,
             high_water: 0,
-            primary: 0,
-            secondary: 0,
-            stalls: 0,
         }
     }
 
@@ -118,11 +101,9 @@ impl<W> MshrFile<W> {
     pub fn allocate(&mut self, line: LineAddr, waiter: W) -> Result<bool, MshrError> {
         if let Some(i) = self.find(line) {
             self.slots[i].waiters.push(waiter);
-            self.secondary += 1;
             return Ok(false);
         }
         if self.len >= self.slots.len() {
-            self.stalls += 1;
             return Err(MshrError::Full);
         }
         let slot = self
@@ -136,7 +117,6 @@ impl<W> MshrFile<W> {
         slot.waiters.push(waiter);
         self.len += 1;
         self.high_water = self.high_water.max(self.len);
-        self.primary += 1;
         Ok(true)
     }
 
@@ -193,11 +173,6 @@ impl<W> MshrFile<W> {
     pub fn high_water(&self) -> usize {
         self.high_water
     }
-
-    /// (primary, secondary, stall) counts.
-    pub fn counts(&self) -> (u64, u64, u64) {
-        (self.primary, self.secondary, self.stalls)
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +187,6 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert_eq!(m.complete(LineAddr::new(1)), Some(vec![10, 11]));
         assert!(m.is_empty());
-        assert_eq!(m.counts(), (1, 1, 0));
     }
 
     #[test]
@@ -223,7 +197,6 @@ mod tests {
         assert_eq!(m.allocate(LineAddr::new(3), 0), Err(MshrError::Full));
         // Secondary to an existing line still merges even when full.
         assert_eq!(m.allocate(LineAddr::new(2), 1), Ok(false));
-        assert_eq!(m.counts().2, 1);
     }
 
     #[test]
@@ -269,7 +242,6 @@ mod tests {
             scratch.clear();
             assert!(m.is_empty());
         }
-        assert_eq!(m.counts(), (100, 100, 0));
         assert_eq!(m.high_water(), 1);
     }
 

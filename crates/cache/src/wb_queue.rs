@@ -36,8 +36,6 @@ pub struct WriteBackQueue {
     capacity: usize,
     entries: VecDeque<WbEntry>,
     high_water: usize,
-    full_rejections: u64,
-    pushed: u64,
 }
 
 impl WriteBackQueue {
@@ -52,20 +50,16 @@ impl WriteBackQueue {
             capacity,
             entries: VecDeque::with_capacity(capacity),
             high_water: 0,
-            full_rejections: 0,
-            pushed: 0,
         }
     }
 
-    /// Enqueues a write-back. Returns `false` (recording a rejection)
-    /// when the queue is full — the cache must block the triggering miss.
+    /// Enqueues a write-back. Returns `false` when the queue is full —
+    /// the cache must block the triggering miss.
     pub fn push(&mut self, e: WbEntry) -> bool {
         if self.entries.len() >= self.capacity {
-            self.full_rejections += 1;
             return false;
         }
         self.entries.push_back(e);
-        self.pushed += 1;
         self.high_water = self.high_water.max(self.entries.len());
         true
     }
@@ -129,16 +123,6 @@ impl WriteBackQueue {
     pub fn high_water(&self) -> usize {
         self.high_water
     }
-
-    /// Number of pushes rejected because the queue was full.
-    pub fn full_rejections(&self) -> u64 {
-        self.full_rejections
-    }
-
-    /// Total successful pushes.
-    pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +153,6 @@ mod tests {
         assert!(q.push(e(2, true)));
         assert!(q.is_full());
         assert!(!q.push(e(3, true)));
-        assert_eq!(q.full_rejections(), 1);
         q.pop();
         assert!(q.push(e(3, true)));
     }
@@ -198,7 +181,6 @@ mod tests {
         q.pop();
         q.pop();
         assert_eq!(q.high_water(), 5);
-        assert_eq!(q.pushed(), 5);
         assert_eq!(q.len(), 3);
         assert_eq!(q.front(), Some(&e(2, false)));
     }

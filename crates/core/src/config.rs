@@ -171,15 +171,6 @@ pub struct SystemConfig {
     pub history_aware_replacement: bool,
     /// Random seed for the synthetic workload.
     pub seed: u64,
-    /// Explicit seed salting the deterministic retry back-off jitter
-    /// (see `System::retry_delay`). The jitter is a pure function of
-    /// `(transaction id, attempt, this seed)`, so two runs of the same
-    /// spec are byte-identical — the property the determinism tests and
-    /// the parallel experiment grid rely on. The default of 0 preserves
-    /// the historical jitter sequence (and the committed golden traces);
-    /// set a different value to decorrelate retry storms across grid
-    /// points without touching the workload seed.
-    pub retry_jitter_seed: u64,
 }
 
 impl SystemConfig {
@@ -221,7 +212,6 @@ impl SystemConfig {
             retry_switch: RetrySwitchConfig::default(),
             history_aware_replacement: false,
             seed: 0x1BAD_B002,
-            retry_jitter_seed: 0,
         }
     }
 

@@ -43,7 +43,7 @@ impl WbhtConfig {
     /// # Errors
     ///
     /// Returns [`GeometryError::NotPowerOfTwo`] naming the granularity.
-    pub(crate) fn check_granularity(&self) -> Result<(), GeometryError> {
+    pub fn check_granularity(&self) -> Result<(), GeometryError> {
         if self.granularity.is_power_of_two() {
             Ok(())
         } else {

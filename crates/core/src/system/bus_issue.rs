@@ -223,7 +223,7 @@ impl System {
                 let p_agent = AgentId::L2(provider);
                 let t_seen_p = self.ring.combined_arrival(t_collect, p_agent);
                 self.spans.mark(sid, SpanPhase::SnoopWindow, t_seen_p);
-                let (p_wait, t_data) = self.l2s[p].array_srv.reserve_timed(t_seen_p);
+                let (p_wait, t_data) = self.l2s[p].array_srv.reserve(t_seen_p);
                 self.spans
                     .mark(sid, SpanPhase::PeerQueue, t_seen_p + p_wait);
                 self.spans.mark(sid, SpanPhase::PeerService, t_data);
@@ -235,25 +235,21 @@ impl System {
                 self.spans.mark(sid, SpanPhase::SnoopWindow, t_seen_l3);
                 let invalidate = txn.kind == TxnKind::ReadExclusive;
                 let k = self.l3_for(txn.src.index());
-                let (ready, _st, l3_wait) =
-                    self.l3s[k].provide_read_timed(t_seen_l3, line, invalidate);
+                let (l3_wait, ready, _st) = self.l3s[k].provide_read(t_seen_l3, line, invalidate);
                 self.spans
                     .mark(sid, SpanPhase::L3Queue, t_seen_l3 + l3_wait);
                 self.spans.mark(sid, SpanPhase::L3Service, ready);
-                self.l3_links[k].reserve_for(ready, self.cfg.l3_link_occupancy)
-                    + self.cfg.l3_link_delay
+                self.l3_links[k].reserve(ready).1 + self.cfg.l3_link_delay
             }
             DataSource::Memory => {
                 self.stats.fills_from_memory += 1;
                 let t_seen_m = self.ring.combined_arrival(t_collect, AgentId::Memory);
                 self.spans.mark(sid, SpanPhase::SnoopWindow, t_seen_m);
-                let (bank_wait, ready) = self.mem.read_timed(t_seen_m, line);
+                let (bank_wait, ready) = self.mem.read(t_seen_m, line);
                 self.spans
                     .mark(sid, SpanPhase::MemQueue, t_seen_m + bank_wait);
                 self.spans.mark(sid, SpanPhase::MemService, ready);
-                self.mem_link
-                    .reserve_for(ready, self.cfg.mem_link_occupancy)
-                    + self.cfg.mem_link_delay
+                self.mem_link.reserve(ready).1 + self.cfg.mem_link_delay
             }
         };
 
@@ -304,23 +300,16 @@ impl System {
 
     /// Retry back-off with deterministic per-transaction jitter so
     /// rejected transactions do not return in lockstep storms. The
-    /// jitter is a pure hash of `(transaction id, attempt)` salted with
-    /// the configuration's explicit `retry_jitter_seed`, so identical
+    /// jitter is a pure hash of `(transaction id, attempt)`, so identical
     /// specs replay identical back-off sequences (the determinism the
-    /// golden traces and the parallel grid rely on); the default seed
-    /// of 0 contributes nothing and preserves the historical sequence.
+    /// golden traces and the parallel grid rely on).
     pub(super) fn retry_delay(&self, txn: &BusTxn, attempt: u32) -> Cycle {
         let base = self.cfg.retry_backoff;
-        let jitter = (txn
+        let jitter = txn
             .id
             .raw()
             .wrapping_mul(7)
             .wrapping_add(attempt as u64 * 13)
-            .wrapping_add(
-                self.cfg
-                    .retry_jitter_seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ))
             % base.max(1);
         base + jitter
     }
@@ -364,25 +353,5 @@ mod tests {
             delays.insert(d);
         }
         assert!(delays.len() > 1, "no jitter across transactions");
-    }
-
-    #[test]
-    fn retry_jitter_seed_shifts_the_sequence_deterministically() {
-        let mut sys_a = system(PolicyConfig::baseline());
-        let mut sys_b = system(PolicyConfig::baseline());
-        sys_a.cfg.retry_jitter_seed = 1;
-        sys_b.cfg.retry_jitter_seed = 1;
-        let plain = system(PolicyConfig::baseline());
-        let mut txn_seq = TxnId::ZERO;
-        let txn = BusTxn::new(
-            txn_seq.bump(),
-            TxnKind::ReadShared,
-            LineAddr::new(4),
-            L2Id::new(0),
-        );
-        // Same seed -> same delay; the salt shifts relative to seed 0.
-        assert_eq!(sys_a.retry_delay(&txn, 2), sys_b.retry_delay(&txn, 2));
-        let differs = (0..8).any(|a| sys_a.retry_delay(&txn, a) != plain.retry_delay(&txn, a));
-        assert!(differs, "salt must perturb at least one attempt");
     }
 }

@@ -105,8 +105,7 @@ impl System {
                     }
                     if let WbOutcome::AcceptedByL3 { .. } = outcome {
                         // The data follows over the L3 link.
-                        t_data = self.l3_links[k].reserve_for(t_seen, self.cfg.l3_link_occupancy)
-                            + self.cfg.l3_link_delay;
+                        t_data = self.l3_links[k].reserve(t_seen).1 + self.cfg.l3_link_delay;
                         self.spans.mark(sid, SpanPhase::DataReturn, t_data);
                     }
                 }
@@ -116,8 +115,7 @@ impl System {
                 // §7: no ring address phase and no peer snoops. The
                 // dedicated bus carries the data with the address, and
                 // the owner's L3 answers alone.
-                let arrive = self.l3_links[k].reserve_for(now, self.cfg.l3_link_occupancy)
-                    + self.cfg.l3_link_delay;
+                let arrive = self.l3_links[k].reserve(now).1 + self.cfg.l3_link_delay;
                 self.spans.mark(sid, SpanPhase::DataReturn, arrive);
                 let resp = self.l3s[k].snoop_castout(arrive, line, dirty);
                 (self.collector.combine(&txn, &[resp]), arrive, arrive)
@@ -192,8 +190,8 @@ impl System {
                     .push(arrival, Ev::SnarfFill { l2: p, line, dirty });
             }
             WbOutcome::AcceptedByL3 { .. } => {
-                match self.l3s[k].accept_castout_timed(t_data, line, dirty) {
-                    Some((done, victim, l3_wait)) => {
+                match self.l3s[k].accept_castout(t_data, line, dirty) {
+                    Some((l3_wait, done, victim)) => {
                         self.spans.mark(sid, SpanPhase::L3Queue, t_data + l3_wait);
                         self.spans.mark(sid, SpanPhase::L3Service, done);
                         self.spans.finish(sid, SpanOutcome::AcceptedL3, done);
@@ -260,7 +258,6 @@ impl System {
                 found
             };
             let Some(entry) = next else {
-                self.l2s[i].draining = !self.l2s[i].castouts_inflight.is_empty();
                 return;
             };
             // Policy filtering: consulted off the miss path, after the
@@ -311,7 +308,6 @@ impl System {
                 now,
             );
             self.l2s[i].castouts_inflight.insert(entry.line);
-            self.l2s[i].draining = true;
             self.queue
                 .push(now + 1, Ev::BusIssue(TxnState::castout(txn, entry.dirty)));
             // Loop: issue more if the concurrency limit allows.

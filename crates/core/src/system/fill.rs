@@ -282,7 +282,7 @@ impl System {
                 if dirty {
                     let k = self.l3_for(i);
                     match self.l3s[k].accept_castout(now, line, true) {
-                        Some((done, victim)) => {
+                        Some((_, done, victim)) => {
                             if let Some(v) = victim {
                                 self.mem.write(done, v);
                             }

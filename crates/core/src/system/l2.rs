@@ -37,7 +37,8 @@ pub struct L2Unit {
     pub mshrs: MshrFile<ThreadId>,
     /// The bounded castout queue.
     pub wbq: WriteBackQueue,
-    /// Snoop tag-port contention.
+    /// Snoop tag-port contention: pipelined, so the port is occupied
+    /// for `min(l2_snoop_occupancy, l2_snoop_cycles)` per lookup.
     pub snoop_srv: FifoServer,
     /// Data-array port for sourcing interventions.
     pub array_srv: FifoServer,
@@ -47,8 +48,6 @@ pub struct L2Unit {
     /// Castouts currently arbitrating on the bus; they stay in `wbq`
     /// until resolution so they remain snoopable.
     pub castouts_inflight: FxHashSet<LineAddr>,
-    /// Whether a drain event chain is active.
-    pub draining: bool,
     /// Threads parked on MSHR exhaustion.
     pub waiting_threads: Vec<ThreadId>,
     /// Reuse flags for lines snarfed into this cache.
@@ -80,11 +79,10 @@ impl L2Unit {
             epoch: NonZeroU32::MIN,
             mshrs: MshrFile::new(cfg.l2_mshrs),
             wbq: WriteBackQueue::new(cfg.wbq_len),
-            snoop_srv: FifoServer::new(cfg.l2_snoop_cycles),
+            snoop_srv: FifoServer::new(cfg.l2_snoop_occupancy.min(cfg.l2_snoop_cycles)),
             array_srv: FifoServer::new(cfg.l2_array_cycles),
             snarf_buffers: SlotPool::new(cfg.snarf_buffers.max(1)),
             castouts_inflight: FxHashSet::default(),
-            draining: false,
             waiting_threads: Vec::new(),
             snarfed_lines: FxHashMap::default(),
             telemetry: Telemetry::disabled(),

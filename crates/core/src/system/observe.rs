@@ -270,11 +270,6 @@ impl System {
         self.l2s.get(l2).and_then(|u| u.state_of(line))
     }
 
-    /// Is `line` currently parked in L2 `l2`'s write-back queue?
-    pub fn l2_wbq_contains(&self, l2: usize, line: LineAddr) -> bool {
-        self.l2s.get(l2).is_some_and(|u| u.wbq.contains(line))
-    }
-
     /// The memory controller statistics.
     pub fn memory(&self) -> &MemoryController {
         &self.mem

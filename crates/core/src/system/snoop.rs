@@ -13,8 +13,8 @@ impl System {
     /// Books an L2's snoop tag port (pipelined: the port is occupied for
     /// `l2_snoop_occupancy`, the full lookup takes `l2_snoop_cycles`).
     pub(super) fn snoop_port(&mut self, j: usize, t_sn: Cycle) -> Cycle {
-        let occ = self.cfg.l2_snoop_occupancy.min(self.cfg.l2_snoop_cycles);
-        self.l2s[j].snoop_srv.reserve_for(t_sn, occ) + (self.cfg.l2_snoop_cycles - occ)
+        let (wait, _) = self.l2s[j].snoop_srv.reserve(t_sn);
+        t_sn + wait + self.cfg.l2_snoop_cycles
     }
 
     /// Peer L2 `j`'s snoop response to a read-class transaction on

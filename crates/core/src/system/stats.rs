@@ -190,48 +190,6 @@ pub struct SystemStats {
     pub event_queue_high_water: u64,
 }
 
-impl std::fmt::Display for SystemStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "cycles           : {}", self.cycles)?;
-        writeln!(
-            f,
-            "references       : {} ({} loads, {} stores)",
-            self.refs, self.loads, self.stores
-        )?;
-        writeln!(f, "L1 hits          : {}", self.l1_hits)?;
-        writeln!(f, "L2 hit rate      : {:.1}%", self.l2_hit_rate() * 100.0)?;
-        writeln!(
-            f,
-            "fills            : {} L2-to-L2, {} L3, {} memory",
-            self.fills_from_l2, self.fills_from_l3, self.fills_from_memory
-        )?;
-        writeln!(
-            f,
-            "write-backs      : {} requests ({} dirty, {} clean; {:.1}% redundant)",
-            self.wb.requests(),
-            self.wb.dirty_requests,
-            self.wb.clean_requests,
-            self.wb.clean_redundant_rate() * 100.0
-        )?;
-        writeln!(
-            f,
-            "                   {} WBHT-aborted, {} snarfed, {} peer-squashed",
-            self.wb.clean_aborted, self.wb.snarfed, self.wb.squashed_peer
-        )?;
-        writeln!(
-            f,
-            "retries          : {} total ({} L3-issued)",
-            self.retries_total, self.retries_l3
-        )?;
-        write!(
-            f,
-            "mean miss latency: {:.0} cycles (p99 ~{})",
-            self.miss_latency.mean(),
-            self.miss_latency.percentile(0.99)
-        )
-    }
-}
-
 impl SystemStats {
     /// Creates zeroed stats for `num_l2` caches.
     pub fn new(num_l2: usize) -> Self {
@@ -307,19 +265,6 @@ mod tests {
         };
         assert!((s.local_use_rate() - 0.2).abs() < 1e-12);
         assert!((s.intervention_use_rate() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn display_mentions_key_metrics() {
-        let mut s = SystemStats::new(4);
-        s.cycles = 1234;
-        s.refs = 10;
-        s.wb.clean_requests = 5;
-        let text = s.to_string();
-        assert!(text.contains("cycles"));
-        assert!(text.contains("1234"));
-        assert!(text.contains("write-backs"));
-        assert!(text.contains("retries"));
     }
 
     #[test]

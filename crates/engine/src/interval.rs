@@ -123,11 +123,6 @@ impl IntervalSampler {
     pub fn records(&self) -> &[IntervalRecord] {
         &self.records
     }
-
-    /// Consumes the sampler, returning its records.
-    pub fn into_records(self) -> Vec<IntervalRecord> {
-        self.records
-    }
 }
 
 #[cfg(test)]

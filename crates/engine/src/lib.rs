@@ -33,8 +33,8 @@
 //! q.push(10, Ev::Ping(0));
 //! q.push(10, Ev::Ping(1));
 //! while let Some((now, Ev::Ping(id))) = q.pop() {
-//!     let done = port.reserve(now); // second ping queues behind the first
-//!     println!("ping {id} completes at {done}");
+//!     let (wait, done) = port.reserve(now); // second ping queues behind the first
+//!     println!("ping {id} waits {wait} and completes at {done}");
 //! }
 //! ```
 

@@ -20,9 +20,9 @@ use crate::Cycle;
 /// use cmpsim_engine::FifoServer;
 ///
 /// let mut tag_port = FifoServer::new(2);
-/// assert_eq!(tag_port.reserve(10), 12); // idle: starts immediately
-/// assert_eq!(tag_port.reserve(10), 14); // queues behind the first
-/// assert_eq!(tag_port.reserve(20), 22); // idle again by cycle 20
+/// assert_eq!(tag_port.reserve(10), (0, 12)); // idle: starts immediately
+/// assert_eq!(tag_port.reserve(10), (2, 14)); // queues behind the first
+/// assert_eq!(tag_port.reserve(20), (0, 22)); // idle again by cycle 20
 /// ```
 #[derive(Debug, Clone)]
 pub struct FifoServer {
@@ -44,48 +44,17 @@ impl FifoServer {
         }
     }
 
-    /// Reserves the server for one request arriving at `now`, using the
-    /// default service time. Returns the completion time.
+    /// Reserves the server for one request arriving at `now`. Returns
+    /// `(wait, done)`: service began at `now + wait` and completes at
+    /// `done = now + wait + service`. The span tracer uses the split to
+    /// attribute queue-wait separately from service.
     #[inline]
-    pub fn reserve(&mut self, now: Cycle) -> Cycle {
-        self.reserve_for(now, self.service)
-    }
-
-    /// Reserves the server for a request with an explicit service time.
-    /// Returns the completion time.
-    #[inline]
-    pub fn reserve_for(&mut self, now: Cycle, service: Cycle) -> Cycle {
-        self.reserve_for_timed(now, service).1
-    }
-
-    /// Like [`FifoServer::reserve`], but also returns the queueing delay:
-    /// `(wait, completion)` where service began at `now + wait`. Used by
-    /// the span tracer to split latency into queue-wait vs. service.
-    #[inline]
-    pub fn reserve_timed(&mut self, now: Cycle) -> (Cycle, Cycle) {
-        self.reserve_for_timed(now, self.service)
-    }
-
-    /// Like [`FifoServer::reserve_for`], but also returns the queueing
-    /// delay as `(wait, completion)`.
-    #[inline]
-    pub fn reserve_for_timed(&mut self, now: Cycle, service: Cycle) -> (Cycle, Cycle) {
+    pub fn reserve(&mut self, now: Cycle) -> (Cycle, Cycle) {
         let start = self.busy_until.max(now);
-        self.busy_until = start + service;
-        self.busy_cycles += service;
+        self.busy_until = start + self.service;
+        self.busy_cycles += self.service;
         self.served += 1;
         (start - now, self.busy_until)
-    }
-
-    /// The earliest time a new request arriving at `now` would complete,
-    /// without reserving.
-    pub fn completion_if_reserved(&self, now: Cycle) -> Cycle {
-        self.busy_until.max(now) + self.service
-    }
-
-    /// The time until which the server is currently booked.
-    pub fn busy_until(&self) -> Cycle {
-        self.busy_until
     }
 
     /// Total cycles of booked service time.
@@ -111,9 +80,9 @@ impl FifoServer {
 /// use cmpsim_engine::Channel;
 ///
 /// let mut data_ring = Channel::new(2, 8); // 2 lanes, 8-cycle occupancy
-/// assert_eq!(data_ring.reserve(0), 8);
-/// assert_eq!(data_ring.reserve(0), 8);  // second lane
-/// assert_eq!(data_ring.reserve(0), 16); // queues
+/// assert_eq!(data_ring.reserve(0), (0, 8));
+/// assert_eq!(data_ring.reserve(0), (0, 8));  // second lane
+/// assert_eq!(data_ring.reserve(0), (8, 16)); // queues
 /// ```
 #[derive(Debug, Clone)]
 pub struct Channel {
@@ -124,7 +93,7 @@ pub struct Channel {
 }
 
 impl Channel {
-    /// Creates a channel with `lanes` parallel slots and a default
+    /// Creates a channel with `lanes` parallel slots and a fixed
     /// per-transfer occupancy.
     ///
     /// # Panics
@@ -140,30 +109,11 @@ impl Channel {
         }
     }
 
-    /// Reserves a lane for a transfer arriving at `now` with the default
-    /// occupancy. Returns the completion time.
+    /// Reserves the earliest-free lane for a transfer arriving at `now`.
+    /// Returns `(wait, done)`: the transfer began at `now + wait` and
+    /// completes at `done = now + wait + occupancy`.
     #[inline]
-    pub fn reserve(&mut self, now: Cycle) -> Cycle {
-        self.reserve_for(now, self.occupancy)
-    }
-
-    /// Reserves a lane with an explicit occupancy. Returns completion time.
-    #[inline]
-    pub fn reserve_for(&mut self, now: Cycle, occupancy: Cycle) -> Cycle {
-        self.reserve_for_timed(now, occupancy).1
-    }
-
-    /// Like [`Channel::reserve`], but also returns the queueing delay:
-    /// `(wait, completion)` where the transfer began at `now + wait`.
-    #[inline]
-    pub fn reserve_timed(&mut self, now: Cycle) -> (Cycle, Cycle) {
-        self.reserve_for_timed(now, self.occupancy)
-    }
-
-    /// Like [`Channel::reserve_for`], but also returns the queueing delay
-    /// as `(wait, completion)`.
-    #[inline]
-    pub fn reserve_for_timed(&mut self, now: Cycle, occupancy: Cycle) -> (Cycle, Cycle) {
+    pub fn reserve(&mut self, now: Cycle) -> (Cycle, Cycle) {
         // Earliest-free lane; ties broken by index for determinism.
         let (idx, &free) = self
             .lanes
@@ -172,15 +122,10 @@ impl Channel {
             .min_by_key(|&(i, &t)| (t, i))
             .expect("at least one lane");
         let start = free.max(now);
-        self.lanes[idx] = start + occupancy;
-        self.busy_cycles += occupancy;
+        self.lanes[idx] = start + self.occupancy;
+        self.busy_cycles += self.occupancy;
         self.served += 1;
         (start - now, self.lanes[idx])
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
     }
 
     /// Total booked occupancy across all lanes.
@@ -191,11 +136,6 @@ impl Channel {
     /// Number of transfers served.
     pub fn served(&self) -> u64 {
         self.served
-    }
-
-    /// Would a transfer arriving at `now` start immediately (no queueing)?
-    pub fn idle_lane_at(&self, now: Cycle) -> bool {
-        self.lanes.iter().any(|&t| t <= now)
     }
 }
 
@@ -300,60 +240,34 @@ mod tests {
     #[test]
     fn fifo_server_queues() {
         let mut s = FifoServer::new(5);
-        assert_eq!(s.reserve(0), 5);
-        assert_eq!(s.reserve(0), 10);
-        assert_eq!(s.reserve(3), 15);
-        assert_eq!(s.reserve(100), 105);
+        assert_eq!(s.reserve(0), (0, 5)); // idle: no wait
+        assert_eq!(s.reserve(0), (5, 10)); // queued behind the first
+        assert_eq!(s.reserve(3), (7, 15));
+        assert_eq!(s.reserve(100), (0, 105));
         assert_eq!(s.served(), 4);
         assert_eq!(s.busy_cycles(), 20);
     }
 
     #[test]
-    fn fifo_server_explicit_service() {
-        let mut s = FifoServer::new(5);
-        assert_eq!(s.reserve_for(0, 1), 1);
-        assert_eq!(s.reserve_for(0, 9), 10);
-        assert_eq!(s.completion_if_reserved(0), 15);
-        // completion_if_reserved does not book.
-        assert_eq!(s.busy_until(), 10);
-    }
-
-    #[test]
     fn channel_uses_all_lanes() {
         let mut c = Channel::new(3, 4);
-        assert_eq!(c.reserve(0), 4);
-        assert_eq!(c.reserve(0), 4);
-        assert_eq!(c.reserve(0), 4);
-        assert_eq!(c.reserve(0), 8); // all lanes busy, queue
-        assert!(c.idle_lane_at(4));
-        assert!(!c.idle_lane_at(3));
-        assert_eq!(c.lanes(), 3);
+        assert_eq!(c.reserve(0), (0, 4));
+        assert_eq!(c.reserve(0), (0, 4)); // second lane, still no wait
+        assert_eq!(c.reserve(0), (0, 4));
+        assert_eq!(c.reserve(1), (3, 8)); // all lanes busy until 4
         assert_eq!(c.served(), 4);
+        assert_eq!(c.busy_cycles(), 16);
     }
 
     #[test]
     fn channel_picks_earliest_lane() {
         let mut c = Channel::new(2, 10);
-        c.reserve(0); // lane0 -> 10
-        c.reserve_for(0, 2); // lane1 -> 2
-                             // Next transfer at t=3 should use lane1 (free at 2), not lane0.
-        assert_eq!(c.reserve(3), 13);
-    }
+        assert_eq!(c.reserve(0), (0, 10)); // lane 0 -> 10
+        assert_eq!(c.reserve(5), (0, 15)); // lane 1 -> 15
 
-    #[test]
-    fn timed_variants_expose_queueing_delay() {
-        let mut s = FifoServer::new(5);
-        assert_eq!(s.reserve_timed(0), (0, 5)); // idle: no wait
-        assert_eq!(s.reserve_timed(2), (3, 10)); // queued behind the first
-        assert_eq!(s.reserve_for_timed(10, 3), (0, 13));
-        // The untimed path books identically: state continues seamlessly.
-        assert_eq!(s.reserve(13), 18);
-
-        let mut c = Channel::new(2, 4);
-        assert_eq!(c.reserve_timed(0), (0, 4));
-        assert_eq!(c.reserve_timed(0), (0, 4)); // second lane, still no wait
-        assert_eq!(c.reserve_timed(1), (3, 8)); // both lanes busy until 4
-        assert_eq!(c.reserve_for_timed(8, 2), (0, 10));
+        // Both busy at 6: the transfer takes lane 0 (free at 10), not
+        // lane 1 (free at 15).
+        assert_eq!(c.reserve(6), (4, 20));
     }
 
     #[test]

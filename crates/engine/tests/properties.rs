@@ -29,8 +29,10 @@ proptest! {
         }
     }
 
-    /// A FIFO server never completes a request before `now + service`, and
-    /// completions are non-decreasing when arrivals are non-decreasing.
+    /// A FIFO server never completes a request before `now + service`,
+    /// completions are non-decreasing when arrivals are non-decreasing,
+    /// and every completion is exactly arrival + queue wait + service
+    /// (the identity the span tracer's queue/service split rests on).
     #[test]
     fn fifo_server_monotone(arrivals in proptest::collection::vec(0u64..10_000, 1..100),
                             service in 1u64..50) {
@@ -39,7 +41,8 @@ proptest! {
         let mut s = FifoServer::new(service);
         let mut prev_done = 0;
         for &a in &sorted {
-            let done = s.reserve(a);
+            let (wait, done) = s.reserve(a);
+            prop_assert_eq!(done, a + wait + service);
             prop_assert!(done >= a + service);
             prop_assert!(done >= prev_done);
             prev_done = done;
@@ -49,7 +52,8 @@ proptest! {
     }
 
     /// A k-lane channel is never slower than a 1-lane server and never
-    /// faster than the contention-free latency.
+    /// faster than the contention-free latency; each completion is
+    /// exactly arrival + queue wait + occupancy.
     #[test]
     fn channel_bounded_by_server(arrivals in proptest::collection::vec(0u64..5_000, 1..80),
                                  lanes in 1usize..8, occ in 1u64..20) {
@@ -58,8 +62,9 @@ proptest! {
         let mut chan = Channel::new(lanes, occ);
         let mut serial = FifoServer::new(occ);
         for &a in &sorted {
-            let c = chan.reserve(a);
-            let s = serial.reserve(a);
+            let (wait, c) = chan.reserve(a);
+            let (_, s) = serial.reserve(a);
+            prop_assert_eq!(c, a + wait + occ);
             prop_assert!(c >= a + occ, "faster than contention-free");
             prop_assert!(c <= s, "k-lane channel slower than serial server");
         }

@@ -151,8 +151,8 @@ impl Slice {
     /// Reserves an array bank; returns `(bank_wait, completion)` (bank
     /// occupancy governs throughput, `latency_tail` the rest of the
     /// access latency; the wait component feeds latency attribution).
-    fn array_access_timed(&mut self, now: Cycle, latency_tail: Cycle) -> (Cycle, Cycle) {
-        let (wait, done) = self.array.reserve_timed(now);
+    fn array_access(&mut self, now: Cycle, latency_tail: Cycle) -> (Cycle, Cycle) {
+        let (wait, done) = self.array.reserve(now);
         (wait, done + latency_tail)
     }
 }
@@ -272,8 +272,11 @@ impl L3Cache {
         self.slice(line).tags.probe(local).is_some()
     }
 
-    /// Serves a read the combined response routed to the L3. Returns the
-    /// time the data leaves the L3 array and the line's state.
+    /// Serves a read the combined response routed to the L3. Returns
+    /// `(bank_wait, ready, state)`: the array access started at
+    /// `now + bank_wait` (the span tracer splits L3-queue-wait from
+    /// L3-service there), the data leaves the L3 array at `ready`, and
+    /// `state` is the line's state.
     ///
     /// When `invalidate` is set (RFO/upgrade semantics) the copy is
     /// removed — the requester will hold the only up-to-date copy.
@@ -286,25 +289,7 @@ impl L3Cache {
         now: Cycle,
         line: LineAddr,
         invalidate: bool,
-    ) -> (Cycle, L3State) {
-        let (ready, st, _wait) = self.provide_read_timed(now, line, invalidate);
-        (ready, st)
-    }
-
-    /// Like [`L3Cache::provide_read`], but additionally returns the
-    /// array-bank queueing delay: `(ready, state, bank_wait)`, where the
-    /// array access itself started at `now + bank_wait`. The span tracer
-    /// uses the split to attribute L3-queue-wait vs. L3-service.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line is not present (the snoop said it was).
-    pub fn provide_read_timed(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        invalidate: bool,
-    ) -> (Cycle, L3State, Cycle) {
+    ) -> (Cycle, Cycle, L3State) {
         let local = self.cfg.geometry.slice_local(line);
         let tail = self
             .cfg
@@ -317,7 +302,7 @@ impl L3Cache {
             .probe(local)
             .unwrap_or_else(|| panic!("provide_read of absent line {line}"))
             .1;
-        let (wait, ready) = slice.array_access_timed(now, tail);
+        let (wait, ready) = slice.array_access(now, tail);
         slice.reads.try_acquire(now, ready);
         if invalidate || exclusive {
             slice.tags.invalidate(local);
@@ -326,7 +311,7 @@ impl L3Cache {
             slice.tags.touch(local);
         }
         self.stats.reads_served += 1;
-        (ready, st, wait)
+        (wait, ready, st)
     }
 
     /// Invalidates a line (RFO/upgrade by an L2 when the L3 is not the
@@ -340,28 +325,17 @@ impl L3Cache {
 
     /// Accepts a castout whose combined response selected the L3.
     ///
-    /// Returns the completion time, and the dirty victim the L3 itself
-    /// evicted (which must be written to memory), if any. Returns
-    /// `None` when the data queue filled between snoop and accept — the
-    /// caller converts that into a retry.
+    /// Returns `(bank_wait, done, victim)`: the array access started at
+    /// `now + bank_wait` and completes at `done`, and `victim` is the
+    /// dirty line the L3 itself evicted (which must be written to
+    /// memory), if any. Returns `None` when the data queue filled
+    /// between snoop and accept — the caller converts that into a retry.
     pub fn accept_castout(
         &mut self,
         now: Cycle,
         line: LineAddr,
         dirty: bool,
-    ) -> Option<(Cycle, Option<LineAddr>)> {
-        self.accept_castout_timed(now, line, dirty)
-            .map(|(done, victim, _wait)| (done, victim))
-    }
-
-    /// Like [`L3Cache::accept_castout`], but additionally returns the
-    /// array-bank queueing delay: `(done, victim, bank_wait)`.
-    pub fn accept_castout_timed(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        dirty: bool,
-    ) -> Option<(Cycle, Option<LineAddr>, Cycle)> {
+    ) -> Option<(Cycle, Cycle, Option<LineAddr>)> {
         let slices_bits = self.cfg.geometry.slices().trailing_zeros();
         let slice_idx = self.cfg.geometry.slice_of(line);
         let local = self.cfg.geometry.slice_local(line);
@@ -376,7 +350,7 @@ impl L3Cache {
             .cfg
             .array_cycles
             .saturating_sub(self.cfg.array_occupancy);
-        let (wait, done) = slice.array_access_timed(now, tail);
+        let (wait, done) = slice.array_access(now, tail);
         let new_state = if dirty {
             L3State::Dirty
         } else {
@@ -401,7 +375,7 @@ impl L3Cache {
             self.stats.dirty_victims_to_memory += 1;
         }
         self.stats.castouts_accepted += 1;
-        Some((done, victim, wait))
+        Some((wait, done, victim))
     }
 
     /// Number of valid lines across all slices.
@@ -420,16 +394,6 @@ impl L3Cache {
                 .max(slice.data_in.high_water() as u64);
         }
         s
-    }
-
-    /// Load hit rate among read snoops.
-    pub fn load_hit_rate(&self) -> f64 {
-        let total = self.stats.read_hits + self.stats.read_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.stats.read_hits as f64 / total as f64
-        }
     }
 }
 
@@ -505,12 +469,13 @@ mod tests {
         let mut l3 = small_l3();
         let line = LineAddr::new(8);
         l3.accept_castout(0, line, false);
-        let (ready, st) = l3.provide_read(10, line, false);
-        assert!(ready >= 10 + l3.config().array_cycles);
+        let (wait, ready, st) = l3.provide_read(10, line, false);
+        assert_eq!(wait, 0);
+        assert_eq!(ready, 10 + l3.config().array_cycles);
         assert_eq!(st, L3State::Clean);
         assert!(l3.peek(line));
         // RFO-style provide removes the copy.
-        let (_, _) = l3.provide_read(20, line, true);
+        l3.provide_read(20, line, true);
         assert!(!l3.peek(line));
         assert_eq!(l3.stats().reads_served, 2);
     }
@@ -550,9 +515,8 @@ mod tests {
             t += 2;
         }
         // 17th dirty castout to the same set evicts a dirty victim.
-        let r = l3.accept_castout(t, LineAddr::new(16 * 8), true).unwrap();
-        assert!(r.1.is_some(), "expected a dirty victim");
-        let victim = r.1.unwrap();
+        let (_, _, victim) = l3.accept_castout(t, LineAddr::new(16 * 8), true).unwrap();
+        let victim = victim.expect("expected a dirty victim");
         // The reconstructed victim must be one of the inserted lines.
         assert_eq!(victim.raw() % 8, 0);
         assert!(victim.raw() < 16 * 8);
@@ -576,18 +540,8 @@ mod tests {
         let mut l3 = L3Cache::new(cfg);
         let line = LineAddr::new(20);
         l3.accept_castout(0, line, false);
-        let (_, _) = l3.provide_read(10, line, false);
+        l3.provide_read(10, line, false);
         assert!(!l3.peek(line), "exclusive victim cache must drop on hit");
-    }
-
-    #[test]
-    fn hit_rate_computation() {
-        let mut l3 = small_l3();
-        let line = LineAddr::new(3);
-        l3.accept_castout(0, line, false);
-        l3.snoop_read(1, line);
-        l3.snoop_read(2, LineAddr::new(7));
-        assert!((l3.load_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

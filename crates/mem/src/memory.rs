@@ -47,8 +47,8 @@ pub struct MemoryStats {
 /// use cmpsim_cache::LineAddr;
 ///
 /// let mut mem = MemoryController::new(MemoryConfig::default());
-/// let ready = mem.read(100, LineAddr::new(1));
-/// assert!(ready >= 100 + MemoryConfig::default().access_cycles);
+/// let (wait, ready) = mem.read(100, LineAddr::new(1));
+/// assert_eq!(ready, 100 + wait + MemoryConfig::default().access_cycles);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemoryController {
@@ -72,25 +72,18 @@ impl MemoryController {
         self.cfg
     }
 
-    /// Reads a line; returns when the data leaves the controller.
-    pub fn read(&mut self, now: Cycle, line: LineAddr) -> Cycle {
-        self.read_timed(now, line).1
-    }
-
-    /// Like [`MemoryController::read`], but also returns the bank
-    /// queueing delay: `(bank_wait, completion)`, where the access itself
-    /// started at `now + bank_wait`.
-    pub fn read_timed(&mut self, now: Cycle, _line: LineAddr) -> (Cycle, Cycle) {
+    /// Reads a line. Returns `(bank_wait, ready)`: the access started at
+    /// `now + bank_wait` and the data leaves the controller at `ready`.
+    pub fn read(&mut self, now: Cycle, _line: LineAddr) -> (Cycle, Cycle) {
         self.stats.reads += 1;
-        let (wait, bank_done) = self.banks.reserve_timed(now);
-        let start = bank_done - self.cfg.bank_occupancy;
-        (wait, start + self.cfg.access_cycles)
+        let (wait, _) = self.banks.reserve(now);
+        (wait, now + wait + self.cfg.access_cycles)
     }
 
     /// Absorbs a dirty line write (posted; returns drain completion).
     pub fn write(&mut self, now: Cycle, _line: LineAddr) -> Cycle {
         self.stats.writes += 1;
-        self.banks.reserve(now)
+        self.banks.reserve(now).1
     }
 
     /// Statistics.
@@ -107,8 +100,7 @@ mod tests {
     fn read_latency_floor() {
         let cfg = MemoryConfig::default();
         let mut m = MemoryController::new(cfg);
-        let t = m.read(0, LineAddr::new(9));
-        assert_eq!(t, cfg.access_cycles);
+        assert_eq!(m.read(0, LineAddr::new(9)), (0, cfg.access_cycles));
     }
 
     #[test]
@@ -119,12 +111,10 @@ mod tests {
             bank_occupancy: 50,
         };
         let mut m = MemoryController::new(cfg);
-        let a = m.read(0, LineAddr::new(0));
-        let b = m.read(0, LineAddr::new(1));
-        let c = m.read(0, LineAddr::new(2)); // queues behind a bank
-        assert_eq!(a, 100);
-        assert_eq!(b, 100);
-        assert_eq!(c, 150);
+        assert_eq!(m.read(0, LineAddr::new(0)), (0, 100));
+        assert_eq!(m.read(0, LineAddr::new(1)), (0, 100));
+        // The third queues behind a bank.
+        assert_eq!(m.read(0, LineAddr::new(2)), (50, 150));
     }
 
     #[test]

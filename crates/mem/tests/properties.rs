@@ -57,8 +57,9 @@ proptest! {
         }
     }
 
-    /// Memory reads complete no earlier than the access latency and
-    /// bank contention only ever delays.
+    /// Memory reads complete no earlier than the access latency, bank
+    /// contention only ever delays, and each read is ready exactly at
+    /// arrival + bank wait + access latency.
     #[test]
     fn memory_latency_floor(times in proptest::collection::vec(0u64..2_000, 1..60)) {
         let mut sorted = times.clone();
@@ -66,7 +67,8 @@ proptest! {
         let cfg = MemoryConfig::default();
         let mut mem = MemoryController::new(cfg);
         for &t in &sorted {
-            let done = mem.read(t, LineAddr::new(t));
+            let (wait, done) = mem.read(t, LineAddr::new(t));
+            prop_assert_eq!(done, t + wait + cfg.access_cycles);
             prop_assert!(done >= t + cfg.access_cycles);
         }
         prop_assert_eq!(mem.stats().reads, sorted.len() as u64);

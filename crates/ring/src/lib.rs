@@ -23,5 +23,5 @@
 mod ring;
 mod topology;
 
-pub use ring::{Ring, RingConfig, RingDetail, RingStats};
+pub use ring::{Ring, RingConfig, RingStats};
 pub use topology::RingTopology;

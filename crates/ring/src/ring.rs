@@ -5,19 +5,6 @@ use cmpsim_engine::{Channel, Cycle, FifoServer};
 
 use crate::RingTopology;
 
-/// How precisely the data ring's bandwidth is modelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RingDetail {
-    /// Aggregate bandwidth: `data_lanes` concurrent transfers anywhere
-    /// on the ring. Fast and adequate for the paper's experiments.
-    #[default]
-    Aggregate,
-    /// Per-link wormhole model: a transfer reserves every segment along
-    /// its (shortest-direction) path; transfers on disjoint segments
-    /// proceed concurrently, transfers sharing a segment serialize.
-    PerLink,
-}
-
 /// Ring timing parameters.
 ///
 /// Defaults model the paper's Table 3: a 32-byte-wide bidirectional ring
@@ -32,12 +19,10 @@ pub struct RingConfig {
     /// Link occupancy of one full-line data transfer.
     pub data_occupancy: Cycle,
     /// Concurrent data transfers the ring sustains (segment parallelism
-    /// of the two directions) — aggregate mode only.
+    /// of the two directions).
     pub data_lanes: usize,
     /// Snoop-response combining delay at the Snoop Collector.
     pub combine_delay: Cycle,
-    /// Bandwidth-model fidelity for the data ring.
-    pub detail: RingDetail,
 }
 
 impl Default for RingConfig {
@@ -48,7 +33,6 @@ impl Default for RingConfig {
             data_occupancy: 8,
             data_lanes: 4,
             combine_delay: 4,
-            detail: RingDetail::Aggregate,
         }
     }
 }
@@ -88,48 +72,36 @@ pub struct Ring {
     cfg: RingConfig,
     addr_arb: FifoServer,
     data: Channel,
-    /// Clockwise links: `links_cw[i]` connects position `i` to `i+1`.
-    links_cw: Vec<FifoServer>,
-    /// Counterclockwise links: `links_ccw[i]` connects `i+1` to `i`.
-    links_ccw: Vec<FifoServer>,
 }
 
 impl Ring {
     /// Creates a ring over the given topology.
     pub fn new(topo: RingTopology, cfg: RingConfig) -> Self {
-        let n = topo.num_agents();
         Ring {
             addr_arb: FifoServer::new(cfg.addr_beat),
             data: Channel::new(cfg.data_lanes, cfg.data_occupancy),
-            links_cw: vec![FifoServer::new(cfg.data_occupancy); n],
-            links_ccw: vec![FifoServer::new(cfg.data_occupancy); n],
             topo,
             cfg,
         }
     }
 
-    /// The topology.
-    pub fn topology(&self) -> &RingTopology {
-        &self.topo
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> RingConfig {
-        self.cfg
-    }
-
     /// Arbitrates for an address-ring slot at `now`. Returns the time the
     /// transaction is actually on the ring (visible for snooping).
+    ///
+    /// [`issue_address_timed`](Self::issue_address_timed) is the call the
+    /// simulator makes; this untimed form stays only because perfbench's
+    /// ring replay passes its `Cycle` to [`transfer_data`](Self::transfer_data).
     pub fn issue_address(&mut self, now: Cycle, src: AgentId) -> Cycle {
         self.issue_address_timed(now, src).1
     }
 
-    /// Like [`Ring::issue_address`], but also returns the arbitration
-    /// queueing delay: `(wait, on_ring)` where the address beat began at
-    /// `now + wait`. The span tracer uses the split to attribute ring
-    /// arbitration separately from the beat itself.
+    /// Arbitrates for an address-ring slot at `now`. Returns
+    /// `(wait, on_ring)`: the address beat began at `now + wait` and the
+    /// transaction is on the ring (visible for snooping) at `on_ring`.
+    /// The span tracer uses the split to attribute ring arbitration
+    /// separately from the beat itself.
     pub fn issue_address_timed(&mut self, now: Cycle, _src: AgentId) -> (Cycle, Cycle) {
-        self.addr_arb.reserve_timed(now)
+        self.addr_arb.reserve(now)
     }
 
     /// When agent `dst` snoops a transaction issued by `src` at `issued`.
@@ -151,89 +123,19 @@ impl Ring {
     }
 
     /// Reserves the data ring for one line transfer from `src` to `dst`
-    /// requested at `now`. Returns the time the full line has arrived.
+    /// requested at `now`. Returns the time the full line has arrived:
+    /// the aggregate channel's completion plus propagation.
     pub fn transfer_data(&mut self, now: Cycle, src: AgentId, dst: AgentId) -> Cycle {
-        match self.cfg.detail {
-            RingDetail::Aggregate => {
-                let link_done = self.data.reserve(now);
-                link_done + self.topo.prop(src, dst)
-            }
-            RingDetail::PerLink => self.transfer_per_link(now, src, dst),
-        }
-    }
-
-    /// Wormhole per-link transfer: the head flit advances one hop per
-    /// `hop_cycles`, each traversed link staying busy for the line's
-    /// occupancy; contention on any segment delays the whole worm.
-    fn transfer_per_link(&mut self, now: Cycle, src: AgentId, dst: AgentId) -> Cycle {
-        if src == dst {
-            // Local turn-around still pays one occupancy.
-            return now + self.cfg.data_occupancy;
-        }
-        let n = self.topo.num_agents();
-        let a = self.topo.position(src);
-        let b = self.topo.position(dst);
-        let cw_dist = (b + n - a) % n;
-        let ccw_dist = (a + n - b) % n;
-        let clockwise = cw_dist <= ccw_dist;
-        let mut head = now;
-        let mut pos = a;
-        let hops = cw_dist.min(ccw_dist);
-        for _ in 0..hops {
-            let (link, next) = if clockwise {
-                (&mut self.links_cw[pos], (pos + 1) % n)
-            } else {
-                let prev = (pos + n - 1) % n;
-                (&mut self.links_ccw[prev], prev)
-            };
-            // Reserve the segment; the head leaves it hop_cycles after
-            // acquisition, the tail after the full occupancy.
-            let done = link.reserve(head);
-            head = done - self.cfg.data_occupancy + self.cfg.hop_cycles;
-            pos = next;
-        }
-        // Arrival when the tail has drained onto the destination port.
-        head + self.cfg.data_occupancy
-    }
-
-    /// Would a data transfer requested at `now` start without queueing?
-    pub fn data_uncontended(&self, now: Cycle) -> bool {
-        self.data.idle_lane_at(now)
-    }
-
-    /// Contention-free latency of a full address phase (issue → snoop at
-    /// the farthest agent → response back to collector → combine →
-    /// combined response at `src`), excluding per-agent snoop processing.
-    pub fn address_phase_floor(&self, src: AgentId) -> Cycle {
-        let worst = self
-            .topo
-            .agents()
-            .iter()
-            .map(|&a| self.topo.prop(src, a) + self.topo.prop(a, self.topo.collector()))
-            .max()
-            .unwrap_or(0);
-        worst + self.cfg.combine_delay + self.topo.prop(self.topo.collector(), src)
+        self.data.reserve(now).1 + self.topo.prop(src, dst)
     }
 
     /// Utilization statistics.
     pub fn stats(&self) -> RingStats {
-        let link_busy: Cycle = self
-            .links_cw
-            .iter()
-            .chain(self.links_ccw.iter())
-            .map(|l| l.busy_cycles())
-            .sum();
-        let link_served: u64 = self
-            .links_cw
-            .iter()
-            .chain(self.links_ccw.iter())
-            .map(|l| l.served())
-            .sum();
         RingStats {
             addr_issued: self.addr_arb.served(),
             addr_busy_cycles: self.addr_arb.busy_cycles(),
-            data_transfers: self.data.served() + link_served,
-            data_busy_cycles: self.data.busy_cycles() + link_busy,
+            data_transfers: self.data.served(),
+            data_busy_cycles: self.data.busy_cycles(),
         }
     }
 }
@@ -303,70 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn address_phase_floor_sane() {
-        let r = ring();
-        let floor = r.address_phase_floor(l2(0));
-        // Must cover at least one full traversal plus combine delay.
-        assert!(floor >= r.config().combine_delay);
-        assert!(floor < 100, "floor unreasonably large: {floor}");
-    }
-
-    #[test]
-    fn per_link_floor_matches_aggregate_floor() {
-        let cfg = RingConfig {
-            detail: RingDetail::PerLink,
-            ..Default::default()
-        };
-        let mut r = Ring::new(RingTopology::standard_cmp(4, 2), cfg);
-        // Contention-free: prop + occupancy, same as aggregate mode.
-        let t = r.transfer_data(0, AgentId::L3, l2(0));
-        assert_eq!(t, 2 * 2 + 8);
-    }
-
-    #[test]
-    fn per_link_disjoint_segments_concurrent() {
-        let cfg = RingConfig {
-            detail: RingDetail::PerLink,
-            ..Default::default()
-        };
-        let mut r = Ring::new(RingTopology::standard_cmp(4, 2), cfg);
-        // Positions: L2#0=0, L2#1=1, L3=2, L2#2=3, L2#3=4, Mem=5.
-        // 0->1 and 3->4 share no segment: both finish contention-free.
-        let a = r.transfer_data(0, l2(0), l2(1));
-        let b = r.transfer_data(0, l2(2), l2(3));
-        assert_eq!(a, 2 + 8);
-        assert_eq!(b, 2 + 8);
-        // A third transfer over the 0->1 segment serializes behind a.
-        let c = r.transfer_data(0, l2(0), l2(1));
-        assert!(c > a);
-    }
-
-    #[test]
-    fn per_link_takes_shortest_direction() {
-        let cfg = RingConfig {
-            detail: RingDetail::PerLink,
-            ..Default::default()
-        };
-        let mut r = Ring::new(RingTopology::standard_cmp(4, 2), cfg);
-        // Position 0 to position 5 is one counterclockwise hop.
-        let t = r.transfer_data(0, l2(0), AgentId::Memory);
-        assert_eq!(t, 2 + 8);
-    }
-
-    #[test]
-    fn per_link_stats_counted() {
-        let cfg = RingConfig {
-            detail: RingDetail::PerLink,
-            ..Default::default()
-        };
-        let mut r = Ring::new(RingTopology::standard_cmp(4, 2), cfg);
-        r.transfer_data(0, AgentId::L3, l2(0)); // 2 hops = 2 link grants
-        let s = r.stats();
-        assert_eq!(s.data_transfers, 2);
-        assert_eq!(s.data_busy_cycles, 16);
-    }
-
-    #[test]
     fn stats_accumulate() {
         let mut r = ring();
         r.issue_address(0, l2(0));
@@ -376,16 +214,5 @@ mod tests {
         assert_eq!(s.data_transfers, 1);
         assert_eq!(s.addr_busy_cycles, 2);
         assert_eq!(s.data_busy_cycles, 8);
-    }
-
-    #[test]
-    fn uncontended_probe() {
-        let mut r = ring();
-        assert!(r.data_uncontended(0));
-        for _ in 0..RingConfig::default().data_lanes {
-            r.transfer_data(0, AgentId::L3, l2(0));
-        }
-        assert!(!r.data_uncontended(0));
-        assert!(r.data_uncontended(8));
     }
 }

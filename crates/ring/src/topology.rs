@@ -137,21 +137,6 @@ impl RingTopology {
     pub fn prop(&self, a: AgentId, b: AgentId) -> Cycle {
         self.hops(a, b) * self.hop_cycles
     }
-
-    /// Worst-case propagation from `src` to any agent (broadcast reach).
-    pub fn max_prop_from(&self, src: AgentId) -> Cycle {
-        self.agents
-            .iter()
-            .map(|&a| self.prop(src, a))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Core cycles per hop (the ring runs at 1:2 core speed, so a hop
-    /// costs two core cycles in the paper configuration).
-    pub fn hop_cycles(&self) -> Cycle {
-        self.hop_cycles
-    }
 }
 
 #[cfg(test)]
@@ -185,13 +170,6 @@ mod tests {
         let b = AgentId::L3;
         assert_eq!(t.prop(a, b), t.hops(a, b) * 3);
         assert_eq!(t.prop(a, a), 0);
-    }
-
-    #[test]
-    fn max_prop_covers_ring() {
-        let t = RingTopology::standard_cmp(4, 2);
-        // 6 agents -> farthest is 3 hops -> 6 cycles.
-        assert_eq!(t.max_prop_from(AgentId::L3), 6);
     }
 
     #[test]

@@ -62,18 +62,4 @@ proptest! {
             prev = done;
         }
     }
-
-    /// The contention-free address-phase floor is consistent with the
-    /// individual pieces for every source agent.
-    #[test]
-    fn address_phase_floor_consistent(n in 2u8..8) {
-        let topo = RingTopology::standard_cmp(n, 2);
-        let ring = Ring::new(topo, RingConfig::default());
-        for &a in ring.topology().agents() {
-            let floor = ring.address_phase_floor(a);
-            // At minimum: combine delay + return trip from the collector.
-            let back = ring.topology().prop(ring.topology().collector(), a);
-            prop_assert!(floor >= RingConfig::default().combine_delay + back);
-        }
-    }
 }

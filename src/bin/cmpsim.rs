@@ -287,6 +287,10 @@ fn real_main() -> Result<(), String> {
     };
     cfg.policy = PolicyConfig::parse(&args.policy, entries, scope, args.granularity)
         .map_err(|e| e.to_string())?;
+    if let Some(wbht) = &cfg.policy.wbht {
+        wbht.check_granularity()
+            .map_err(|e| format!("--granularity {}: {e}", args.granularity))?;
+    }
     // Every configuration error surfaces here, before an output file is
     // opened or a table allocated.
     cfg.validate().map_err(|e| match e {

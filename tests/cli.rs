@@ -74,6 +74,18 @@ fn entries_that_no_table_can_hold_are_rejected_not_an_abort() {
 }
 
 #[test]
+fn granularity_that_is_not_a_power_of_two_names_the_flag() {
+    assert_rejected(
+        &["--granularity", "3", "-p", "wbht", "-q"],
+        &["--granularity 3", "power of two"],
+    );
+    assert_rejected(
+        &["--granularity", "0", "-p", "wbht", "-q"],
+        &["--granularity 0", "power of two"],
+    );
+}
+
+#[test]
 fn unknown_policy_lists_the_accepted_names() {
     let names = "baseline|wbht|snarf|combined|rdcb|hybrid";
     assert_rejected(&["-p", "wbht+lru", "-q"], &["unknown policy lru", names]);

@@ -211,20 +211,6 @@ fn global_scope_allocates_more_wbht_entries() {
 }
 
 #[test]
-fn per_link_ring_detail_runs() {
-    // The per-link wormhole data-ring model is a drop-in fidelity
-    // upgrade: simulations complete, conserve references, and stay
-    // coherent.
-    let mut cfg = cfg_with(PolicyConfig::baseline(), 6);
-    cfg.ring.detail = cmp_hierarchies::ring::RingDetail::PerLink;
-    let params = Workload::Trade2.params(cfg.num_threads(), cfg.cache_scale());
-    let mut sys = System::new(cfg, params).unwrap();
-    let stats = sys.run(2_000);
-    assert_eq!(stats.refs, 2_000 * 16);
-    sys.assert_invariants();
-}
-
-#[test]
 fn history_aware_replacement_runs_and_differs() {
     let mut plain = cfg_with(wbht(2048), 6);
     plain.history_aware_replacement = false;
