@@ -40,13 +40,19 @@ pub fn run(mut args: Args) -> Result<(), String> {
             }
             "--policy" | "-p" => policy = args.value(),
             "--refs" | "-n" => refs = args.number(),
-            "--scale" => scale = args.number::<u64>().max(1),
+            "--scale" => {
+                let raw = args.value();
+                scale = args.parse("--scale", &raw);
+                if scale == 0 {
+                    args.fail(format!("--scale {raw}: out of range (1..)"));
+                }
+            }
             "--sample" => sample = args.number::<u64>().max(1),
             "--top" => top = args.number(),
             other => args.fail(format!("unknown flag {other}")),
         }
     }
-    let mut cfg = if scale <= 1 {
+    let mut cfg = if scale == 1 {
         SystemConfig::paper()
     } else {
         SystemConfig::try_scaled(scale)

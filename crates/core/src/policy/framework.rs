@@ -56,7 +56,8 @@ pub struct CastoutCtx {
     /// mechanism uses the switch).
     pub engaged: bool,
     /// Whether the L3 (shared or this L2's private slice) already holds
-    /// the line.
+    /// the line. Peeked only when `engaged`, the one case a WBHT reads
+    /// it (its correctness count); `false` otherwise.
     pub in_l3: bool,
 }
 

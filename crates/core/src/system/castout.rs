@@ -264,7 +264,9 @@ impl System {
             // victim entered the queue (§2).
             if !entry.dirty && self.policy.filters_clean_castouts() {
                 let engaged = self.policy.castout_gate_engaged(now);
-                let in_l3 = self.l3s[self.l3_for(i)].peek(entry.line);
+                // The oracle peek feeds only an engaged WBHT's
+                // correctness count; a disengaged switch skips it.
+                let in_l3 = engaged && self.l3s[self.l3_for(i)].peek(entry.line);
                 let ctx = CastoutCtx {
                     now,
                     l2: i,

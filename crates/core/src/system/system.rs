@@ -316,7 +316,7 @@ impl System {
             trace_line: std::env::var("CMPSIM_TRACE_LINE")
                 .ok()
                 .and_then(|v| u64::from_str_radix(v.trim_start_matches("0x"), 16).ok()),
-            queue: EventQueue::with_capacity(1 << 16),
+            queue: EventQueue::new(),
             workload,
             cfg,
             telemetry: Telemetry::disabled(),

@@ -8,7 +8,9 @@
 //!   order),
 //! * contention-modelling resources ([`FifoServer`], [`Channel`],
 //!   [`SlotPool`]) that turn "this unit is busy" into queueing delay,
-//! * a small, fast, deterministic RNG ([`SplitMix64`]),
+//! * a small, fast, deterministic RNG ([`SplitMix64`]) and the LRU
+//!   stack-distance sampler the synthetic workloads draw with
+//!   ([`StackDistance`]),
 //! * online statistics helpers ([`stats`]), and
 //! * fast deterministic hashing for internal maps ([`hash`]).
 //!
@@ -57,7 +59,7 @@ pub mod telemetry;
 
 pub use queue::EventQueue;
 pub use resource::{Channel, FifoServer, SlotPool};
-pub use rng::SplitMix64;
+pub use rng::{SplitMix64, StackDistance};
 
 /// Virtual time, in processor core cycles.
 ///

@@ -111,12 +111,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Creates an empty queue. The calendar ring is fixed-size; `_cap`
-    /// is accepted for API compatibility with the old binary heap.
-    pub fn with_capacity(_cap: usize) -> Self {
-        Self::new()
-    }
-
     /// Schedules `payload` at absolute time `time`.
     ///
     /// # Panics

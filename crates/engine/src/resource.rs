@@ -160,8 +160,6 @@ impl Channel {
 pub struct SlotPool {
     capacity: usize,
     releases: BinaryHeap<Reverse<Cycle>>,
-    acquired: u64,
-    rejected: u64,
     high_water: usize,
 }
 
@@ -176,24 +174,20 @@ impl SlotPool {
         SlotPool {
             capacity,
             releases: BinaryHeap::new(),
-            acquired: 0,
-            rejected: 0,
             high_water: 0,
         }
     }
 
     /// Attempts to acquire a slot at `now`, holding it until `release_at`.
     ///
-    /// Returns `false` (and records a rejection) when all slots are held.
+    /// Returns `false` when all slots are held.
     pub fn try_acquire(&mut self, now: Cycle, release_at: Cycle) -> bool {
         self.expire(now);
         if self.releases.len() < self.capacity {
             self.releases.push(Reverse(release_at.max(now)));
-            self.acquired += 1;
             self.high_water = self.high_water.max(self.releases.len());
             true
         } else {
-            self.rejected += 1;
             false
         }
     }
@@ -208,16 +202,6 @@ impl SlotPool {
     /// Pool capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Successful acquisitions so far.
-    pub fn acquired(&self) -> u64 {
-        self.acquired
-    }
-
-    /// Failed acquisitions so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
     }
 
     /// Peak number of slots held at once (occupancy gauge, sampled on
@@ -289,13 +273,11 @@ mod tests {
         assert!(p.try_acquire(0, 10));
         assert!(p.try_acquire(0, 20));
         assert!(!p.try_acquire(5, 30));
-        assert_eq!(p.rejected(), 1);
         // One slot frees at 10.
         assert!(p.try_acquire(10, 40));
         assert_eq!(p.in_use(10), 2);
         assert_eq!(p.in_use(25), 1);
         assert_eq!(p.in_use(40), 0);
-        assert_eq!(p.acquired(), 3);
     }
 
     #[test]

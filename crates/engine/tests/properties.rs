@@ -70,18 +70,26 @@ proptest! {
         }
     }
 
-    /// A slot pool never holds more than `capacity` slots simultaneously.
+    /// A slot pool never holds more than `capacity` slots simultaneously,
+    /// and each acquire succeeds exactly when a naive model (the release
+    /// cycles of the slots held) has a slot free.
     #[test]
     fn slot_pool_capacity_respected(ops in proptest::collection::vec((0u64..1000, 1u64..100), 1..100),
                                     cap in 1usize..8) {
         let mut sorted = ops.clone();
         sorted.sort_by_key(|&(t, _)| t);
         let mut p = SlotPool::new(cap);
+        let mut held: Vec<u64> = Vec::new();
         for &(t, hold) in &sorted {
-            let _ = p.try_acquire(t, t + hold);
+            held.retain(|&release| release > t);
+            let free = held.len() < cap;
+            if free {
+                held.push(t + hold);
+            }
+            prop_assert_eq!(p.try_acquire(t, t + hold), free);
             prop_assert!(p.in_use(t) <= cap);
+            prop_assert_eq!(p.in_use(t), held.len());
         }
-        prop_assert_eq!(p.acquired() + p.rejected(), sorted.len() as u64);
     }
 
     /// SplitMix64 streams are reproducible and `gen_range` stays in bounds.

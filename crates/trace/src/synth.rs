@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use cmpsim_cache::Addr;
-use cmpsim_engine::SplitMix64;
+use cmpsim_engine::{SplitMix64, StackDistance};
 
 use crate::{MemOp, ThreadId, TraceRecord};
 
@@ -209,6 +209,13 @@ struct ThreadState {
 pub struct SyntheticWorkload {
     params: WorkloadParams,
     threads: Vec<ThreadState>,
+    /// Stack-distance samplers of the private, bounce, shared and
+    /// migratory regions, shared by all threads (each draw takes its
+    /// bits from the drawing thread's generator).
+    private: StackDistance,
+    bounce: StackDistance,
+    shared: StackDistance,
+    migratory: StackDistance,
 }
 
 impl SyntheticWorkload {
@@ -239,7 +246,14 @@ impl SyntheticWorkload {
                 }
             })
             .collect();
-        Ok(SyntheticWorkload { params, threads })
+        Ok(SyntheticWorkload {
+            private: StackDistance::new(params.private_lines, params.private_theta),
+            bounce: StackDistance::new(params.bounce_lines, params.bounce_theta),
+            shared: StackDistance::new(params.shared_lines, params.shared_theta),
+            migratory: StackDistance::new(params.migratory_lines, 2.0),
+            params,
+            threads,
+        })
     }
 
     /// The parameters.
@@ -265,12 +279,12 @@ impl SyntheticWorkload {
         let u = ts.rng.gen_f64();
         let mix = p.mix;
         let (line, op) = if u < mix.private {
-            let d = ts.rng.gen_stack_distance(p.private_lines, p.private_theta);
+            let d = self.private.sample(&mut ts.rng);
             let line = (REGION_PRIVATE << REGION_SHIFT) | (tid << THREAD_SHIFT) | d;
             let op = store_if(&mut ts.rng, p.private_store_frac);
             (line, op)
         } else if u < mix.private + mix.bounce {
-            let d = ts.rng.gen_stack_distance(p.bounce_lines, p.bounce_theta);
+            let d = self.bounce.sample(&mut ts.rng);
             let groups = (p.threads / p.bounce_group_threads).max(1) as u64;
             let own = tid / p.bounce_group_threads as u64;
             let group = if groups > 1 && ts.rng.gen_bool(p.bounce_cross_frac) {
@@ -294,12 +308,12 @@ impl SyntheticWorkload {
             let op = store_if(&mut ts.rng, p.rotor_store_frac);
             (line, op)
         } else if u < mix.private + mix.bounce + mix.rotor + mix.shared {
-            let d = ts.rng.gen_stack_distance(p.shared_lines, p.shared_theta);
+            let d = self.shared.sample(&mut ts.rng);
             let line = (REGION_SHARED << REGION_SHIFT) | d;
             let op = store_if(&mut ts.rng, p.shared_store_frac);
             (line, op)
         } else if u < mix.private + mix.bounce + mix.rotor + mix.shared + mix.migratory {
-            let d = ts.rng.gen_stack_distance(p.migratory_lines, 2.0);
+            let d = self.migratory.sample(&mut ts.rng);
             let line = (REGION_MIGRATORY << REGION_SHIFT) | d;
             if ts.rng.gen_bool(p.migratory_rmw_frac) {
                 ts.migratory_pending = Some(line);

@@ -39,10 +39,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 echo "==> golden traces regenerate cleanly"
 # Telemetry and span traces, the policy matrix (the cmpsim --json
 # --audit report of every mechanism and of the compositions), the
-# cmpsim outputs (each report format and every file the binary writes)
-# and the pinned audit metrics.
+# cmpsim outputs (each report format and every file the binary writes),
+# the pinned audit metrics and the synthetic reference streams.
 UPDATE_GOLDEN=1 cargo test -q --test telemetry --test spans --test policy_matrix \
-    --test cmpsim_golden --test audit_golden golden >/dev/null
+    --test cmpsim_golden --test audit_golden --test synthetic_streams golden >/dev/null
 if ! git diff --exit-code -- tests/golden >/dev/null; then
     git --no-pager diff --stat -- tests/golden
     echo "verify: FAILED — golden traces drifted from committed files" >&2

@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! cmpsim [--workload tp|cpw2|notesbench|trade2] [--policy NAME[+NAME...]]
-//!        [--entries N] [--outstanding 1..6] [--refs N] [--scale N] [--seed N]
+//!        [--entries N] [--outstanding 1..64] [--refs N] [--scale N] [--seed N]
 //!        [--cores N]
 //!        [--trace FILE] [--granularity N] [--global-wbht] [--csv] [--json]
 //!        [--audit] [--metrics-out FILE]
@@ -21,7 +21,9 @@
 //!        [--progress[=SECS]] [--quiet] [--verbose]
 //! ```
 
+use std::fmt;
 use std::io::{self, Write};
+use std::ops::RangeBounds;
 use std::process::ExitCode;
 
 use cmp_hierarchies::adaptive::{
@@ -111,9 +113,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--policy" | "-p" => args.policy = value()?,
             "--entries" => args.entries = parse_num(&flag, &value()?)?,
-            "--outstanding" | "-o" => args.outstanding = parse_num(&flag, &value()?)?,
+            "--outstanding" | "-o" => args.outstanding = parse_in(&flag, &value()?, 1..=64)?,
             "--refs" | "-n" => args.refs = parse_num(&flag, &value()?)?,
-            "--scale" => args.scale = parse_num(&flag, &value()?)?,
+            "--scale" => args.scale = parse_in(&flag, &value()?, 1..)?,
             "--seed" => args.seed = parse_num(&flag, &value()?)?,
             "--cores" => args.cores = Some(parse_num(&flag, &value()?)?),
             "--trace" => args.trace = Some(value()?),
@@ -174,6 +176,21 @@ fn parse_num<T: TryFrom<u64>>(flag: &str, raw: &str) -> Result<T, String> {
     T::try_from(n).map_err(|_| format!("{flag} {raw}: out of range"))
 }
 
+/// [`parse_num`] for a flag whose values are limited to `range`: a
+/// value outside it is an error, never clamped.
+fn parse_in<T, R>(flag: &str, raw: &str, range: R) -> Result<T, String>
+where
+    T: TryFrom<u64> + PartialOrd,
+    R: RangeBounds<T> + fmt::Debug,
+{
+    let n = parse_num(flag, raw)?;
+    if range.contains(&n) {
+        Ok(n)
+    } else {
+        Err(format!("{flag} {raw}: out of range ({range:?})"))
+    }
+}
+
 const HELP: &str = "cmpsim - CMP cache-hierarchy simulator (ISCA 2005 reproduction)
 
 USAGE:
@@ -186,9 +203,10 @@ OPTIONS:
                            [baseline]
         --entries N        history-table entries, a power of two from 16
                            to 1048576 (0 = scaled 32K) [0]
-    -o, --outstanding N    max outstanding misses/thread (1-6) [6]
+    -o, --outstanding N    max outstanding misses/thread, 1-64 (the paper
+                           sweeps 1-6) [6]
     -n, --refs N           references per thread [20000]
-        --scale N          capacity divisor vs the paper system [8]
+        --scale N          capacity divisor vs the paper system, >= 1 [8]
         --seed N           workload RNG seed
         --cores N          cores on the chip (multiple of 2, 2-254; scales
                            the L2 agent count on the ring with it) [8]
@@ -260,13 +278,13 @@ fn write_stdout(print: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> Result<
 
 fn real_main() -> Result<(), String> {
     let args = parse_args()?;
-    let mut cfg = if args.scale <= 1 {
+    let mut cfg = if args.scale == 1 {
         SystemConfig::paper()
     } else {
         SystemConfig::try_scaled(args.scale)
             .map_err(|e| format!("--scale {}: invalid geometry: {e}", args.scale))?
     };
-    cfg.max_outstanding = args.outstanding.clamp(1, 64);
+    cfg.max_outstanding = args.outstanding;
     cfg.seed = args.seed;
     if let Some(cores) = args.cores {
         // The >8-core topology axis: more core pairs, more L2 agents on

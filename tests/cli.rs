@@ -46,6 +46,18 @@ fn outstanding_past_the_u32_range_is_rejected_not_truncated() {
 }
 
 #[test]
+fn outstanding_outside_1_to_64_is_rejected_not_clamped() {
+    for o in ["0", "65"] {
+        assert_rejected(&["-o", o, "-q"], &[&format!("-o {o}: out of range")]);
+    }
+}
+
+#[test]
+fn zero_scale_is_rejected_not_run_at_paper_scale() {
+    assert_rejected(&["--scale", "0", "-q"], &["--scale 0: out of range"]);
+}
+
+#[test]
 fn scale_without_a_valid_geometry_is_rejected_not_a_panic() {
     for scale in ["3", "1000", "4096", "65536"] {
         assert_rejected(
