@@ -15,6 +15,7 @@
 //!   the starting point for any tail-latency investigation.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 
 use cmp_adaptive_wb::{run as simulate, PolicyConfig, RunSpec, SystemConfig, UpdateScope};
 use cmpsim_bench::cli::Args;
@@ -22,7 +23,7 @@ use cmpsim_engine::spans::{SpanRecord, SpanSummary, SpanTracer};
 use cmpsim_trace::Workload;
 
 pub const USAGE: &str = "usage: report spans [--workload NAME] [--policy NAME[+NAME...]] \
-                         [--refs N] [--scale N] [--sample N] [--top N]";
+                         [--refs N] [--scale N] [--sample N>=1] [--top N]";
 
 pub fn run(mut args: Args) -> Result<(), String> {
     let mut workload = Workload::Trade2;
@@ -47,7 +48,7 @@ pub fn run(mut args: Args) -> Result<(), String> {
                     args.fail(format!("--scale {raw}: out of range (1..)"));
                 }
             }
-            "--sample" => sample = args.number::<u64>().max(1),
+            "--sample" => sample = args.number::<NonZeroU64>().get(),
             "--top" => top = args.number(),
             other => args.fail(format!("unknown flag {other}")),
         }

@@ -66,6 +66,7 @@ fn malformed_arguments_exit_2_in_every_subcommand() {
         &["spans", "--top"],
         &["spans", "--scale", "3"],
         &["spans", "--scale", "0"],
+        &["spans", "--sample", "0"],
         &["profile", "--stride=0"],
         &["profile", "--check=yes"],
         &["tail", "--refresh", "0", "-"],

@@ -12,7 +12,7 @@
 //!
 //! | Hook                        | Pipeline stage (caller)               |
 //! |-----------------------------|---------------------------------------|
-//! | `on_castout_candidate`      | `castout::handle_wb_drain`, clean victims only, after the retry-switch gate is sampled and the L3 presence peek is taken |
+//! | `on_castout_candidate`      | `castout::handle_wb_drain`, clean victims only, after the retry-switch gate is sampled and (with a WBHT) the L3 presence peek is taken |
 //! | `on_castout_issued`         | `castout::bus_issue_castout`, first attempt only, before the castout telemetry event |
 //! | `snarf_eligible`            | `castout::handle_wb_drain`, after the abort decision allowed the write-back |
 //! | `on_snarf_arbitration`      | `castout::bus_issue_castout`, at combine time, before audit allow-resolution |
@@ -56,8 +56,9 @@ pub struct CastoutCtx {
     /// mechanism uses the switch).
     pub engaged: bool,
     /// Whether the L3 (shared or this L2's private slice) already holds
-    /// the line. Peeked only when `engaged`, the one case a WBHT reads
-    /// it (its correctness count); `false` otherwise.
+    /// the line. Peeked only when a WBHT is configured
+    /// ([`PolicyStack::reads_l3_presence`]) and `engaged`, the one case
+    /// it is read (the WBHT's correctness count); `false` otherwise.
     pub in_l3: bool,
 }
 
@@ -142,6 +143,13 @@ impl PolicyStack {
     #[inline]
     pub fn filters_clean_castouts(&self) -> bool {
         self.wbht.is_some() || self.rdcb.is_some()
+    }
+
+    /// Does a configured castout filter read [`CastoutCtx::in_l3`]
+    /// (WBHT)? Without one the drain skips the L3 presence peek.
+    #[inline]
+    pub fn reads_l3_presence(&self) -> bool {
+        self.wbht.is_some()
     }
 
     /// Does a configured mechanism keep line history for victim
@@ -369,6 +377,19 @@ mod tests {
         let s = stack(PolicyConfig::hybrid(HybridConfig::default()));
         assert!(s.adapts_coherence());
         assert!(!s.filters_clean_castouts());
+    }
+
+    #[test]
+    fn only_a_wbht_reads_l3_presence() {
+        for (spec, reads) in [
+            ("wbht", true),
+            ("combined", true),
+            ("rdcb", false),
+            ("rdcb+hybrid", false),
+        ] {
+            let cfg = PolicyConfig::parse(spec, 1024, UpdateScope::Local, 1).unwrap();
+            assert_eq!(stack(cfg).reads_l3_presence(), reads, "{spec}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use cmpsim_engine::telemetry::SimEvent;
 use cmpsim_engine::Cycle;
 
 use crate::policy::ResponseCtx;
-use crate::system::system::Ev;
+use crate::system::system::{Ev, WbLine};
 use crate::system::System;
 
 impl System {
@@ -161,12 +161,12 @@ impl System {
         let line = txn.line;
         let src_agent = AgentId::L2(txn.src);
 
-        // Reuse bookkeeping: this is a demand miss on the line; one map
+        // Reuse bookkeeping: this is a demand miss on the line; one set
         // removal answers both "was a write-back pending" and "had the
         // L3 accepted it".
-        if let Some(accepted) = self.wb_lines.remove(&line.raw()) {
+        if let Some(entry) = self.wb_lines.take(&WbLine::pending(line)) {
             self.stats.wb_reuse.reused_total += 1;
-            if accepted {
+            if entry.is_accepted() {
                 self.stats.wb_reuse.reused_accepted += 1;
             }
         }

@@ -13,7 +13,7 @@ use cmpsim_engine::Cycle;
 
 use crate::config::L3Organization;
 use crate::policy::{CastoutCtx, CastoutDecision};
-use crate::system::system::Ev;
+use crate::system::system::{Ev, WbLine};
 use crate::system::System;
 
 impl System {
@@ -44,9 +44,9 @@ impl System {
                 self.stats.wb.clean_requests += 1;
             }
             self.stats.wb_reuse.total += 1;
-            // New write-back generation: overwriting clears any stale
+            // New write-back generation: replacing clears any stale
             // accepted mark from an earlier castout of the same line.
-            self.wb_lines.insert(line.raw(), false);
+            self.wb_lines.replace(WbLine::pending(line));
             let snarf_eligible = txn.snarf_eligible;
             self.telemetry.emit(now, || SimEvent::CastoutIssued {
                 l2: i as u32,
@@ -200,8 +200,10 @@ impl System {
                             l2: i as u32,
                             line: line.raw(),
                         });
-                        if let Some(accepted) = self.wb_lines.get_mut(&line.raw()) {
-                            *accepted = true;
+                        // A demand miss may have taken the entry during
+                        // this castout's retries: flag only a pending one.
+                        if self.wb_lines.contains(&WbLine::pending(line)) {
+                            self.wb_lines.replace(WbLine::accepted(line));
                         }
                         self.stats.wb_reuse.accepted += 1;
                         if let Some(v) = victim {
@@ -265,8 +267,11 @@ impl System {
             if !entry.dirty && self.policy.filters_clean_castouts() {
                 let engaged = self.policy.castout_gate_engaged(now);
                 // The oracle peek feeds only an engaged WBHT's
-                // correctness count; a disengaged switch skips it.
-                let in_l3 = engaged && self.l3s[self.l3_for(i)].peek(entry.line);
+                // correctness count; a disengaged switch or a stack
+                // without a WBHT (rdcb alone) skips it.
+                let in_l3 = engaged
+                    && self.policy.reads_l3_presence()
+                    && self.l3s[self.l3_for(i)].peek(entry.line);
                 let ctx = CastoutCtx {
                     now,
                     l2: i,

@@ -258,17 +258,14 @@ impl L2Unit {
         self.slices.iter().map(|s| s.valid_lines()).sum()
     }
 
-    /// All resident lines with global addresses (invariant checking and
-    /// debug dumps; not on any hot path).
-    pub fn resident_lines(&self) -> Vec<LineAddr> {
+    /// Every resident line as `(global line, state)`, slice by slice in
+    /// array order (invariant checking; allocates nothing).
+    pub fn resident(&self) -> impl Iterator<Item = (LineAddr, L2State)> + '_ {
         let slice_bits = self.geometry.slices().trailing_zeros();
-        let mut out = Vec::new();
-        for (s, arr) in self.slices.iter().enumerate() {
-            for (local, _) in arr.iter_valid() {
-                out.push(LineAddr::new((local.raw() << slice_bits) | s as u64));
-            }
-        }
-        out
+        self.slices.iter().enumerate().flat_map(move |(s, arr)| {
+            arr.iter_valid()
+                .map(move |(local, st)| (LineAddr::new((local.raw() << slice_bits) | s as u64), st))
+        })
     }
 
     /// Clears snarf bookkeeping for an evicted/invalidated line,

@@ -6,7 +6,7 @@ use std::num::NonZeroU32;
 
 use cmpsim_cache::LineAddr;
 use cmpsim_coherence::{L2Id, L2State, SnoopCollector, SnoopResponse, TxnId, TxnState};
-use cmpsim_engine::hash::FxHashMap;
+use cmpsim_engine::hash::{FxHashMap, FxHashSet};
 use cmpsim_engine::profiler::{now_ticks, ticks_to_ns, HostProfiler, HostStage};
 use cmpsim_engine::progress::ProgressMeter;
 use cmpsim_engine::spans::SpanTracer;
@@ -77,6 +77,53 @@ impl Ev {
     }
 }
 
+/// One entry of [`System::wb_lines`]: a written-back line's raw address,
+/// with the L3-accepted flag in bit 63, which no line number reaches at
+/// a line size of 2 bytes or more (it is a 64-bit byte address divided
+/// by the line size). It hashes and compares on the line alone, so one
+/// probe finds a line whatever its flag, and an entry takes 8 bytes
+/// where a `(u64, bool)` map entry takes 16.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct WbLine(u64);
+
+impl WbLine {
+    const ACCEPTED: u64 = 1 << 63;
+
+    /// A write-back of `line` the L3 has not accepted (yet).
+    pub(super) fn pending(line: LineAddr) -> Self {
+        debug_assert_eq!(line.raw() & Self::ACCEPTED, 0, "{line} uses bit 63");
+        WbLine(line.raw())
+    }
+
+    /// A write-back of `line` the L3 accepted.
+    pub(super) fn accepted(line: LineAddr) -> Self {
+        WbLine(Self::pending(line).0 | Self::ACCEPTED)
+    }
+
+    /// Did the L3 accept this write-back?
+    pub(super) fn is_accepted(self) -> bool {
+        self.0 & Self::ACCEPTED != 0
+    }
+
+    fn line(self) -> u64 {
+        self.0 & !Self::ACCEPTED
+    }
+}
+
+impl PartialEq for WbLine {
+    fn eq(&self, other: &Self) -> bool {
+        self.line() == other.line()
+    }
+}
+
+impl Eq for WbLine {}
+
+impl std::hash::Hash for WbLine {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.line().hash(state);
+    }
+}
+
 /// The modelled chip multiprocessor (paper Figure 1): 8 two-way-SMT
 /// cores with private L1s, four sliced L2 caches, a bidirectional ring,
 /// an off-chip L3 victim cache, and a memory controller — driven by a
@@ -120,20 +167,21 @@ pub struct System {
     pub(super) txn_seq: TxnId,
     pub(super) stats: SystemStats,
     /// Lines written back and not yet re-referenced (Table 2 tracking):
-    /// key present = write-back pending, value `true` = the L3 accepted
-    /// the data (vs. dropped on the floor by a WBHT-suppressed or
-    /// declined write-back).
+    /// an entry present = write-back pending, its
+    /// [accepted](WbLine::is_accepted) flag set = the L3 accepted the
+    /// data (vs. dropped on the floor by a WBHT-suppressed or declined
+    /// write-back).
     ///
-    /// A castout's *first* bus attempt inserts the line with `false`
-    /// (overwriting any stale accepted mark from a prior write-back
-    /// generation); the L3 accepting the data flips it to `true`; a
-    /// demand miss on the line removes the entry, counting
-    /// `reused_total` and — when the value was `true` —
-    /// `reused_accepted`. The two roles share one map because every hot
-    /// path touches both together, and this set grows with the
-    /// workload's castout working set: one probe instead of two on the
-    /// coldest structure in the system.
-    pub(super) wb_lines: FxHashMap<u64, bool>,
+    /// A castout's *first* bus attempt puts the line in unaccepted
+    /// (`replace`, overwriting any stale accepted mark from a prior
+    /// write-back generation); the L3 accepting the data sets the flag
+    /// if the line is still pending; a demand miss on the line takes the
+    /// entry, counting `reused_total` and — when flagged —
+    /// `reused_accepted`. The two roles share one set because every hot
+    /// path touches both together: one probe instead of two. The set
+    /// only grows (streaming lines are cast out and never missed again),
+    /// hence the 8-byte [`WbLine`] entry.
+    pub(super) wb_lines: FxHashSet<WbLine>,
     /// Miss issue times for the latency histogram: (l2, line) -> cycle.
     pub(super) miss_issue: FxHashMap<(u8, u64), Cycle>,
     /// Lines in flight to an L2, keyed (l2, line), flagged
@@ -308,7 +356,7 @@ impl System {
             policy,
             txn_seq: TxnId::ZERO,
             stats: SystemStats::new(num_l2),
-            wb_lines: FxHashMap::default(),
+            wb_lines: FxHashSet::default(),
             miss_issue: FxHashMap::default(),
             inbound: FxHashMap::default(),
             snoop_scratch: Vec::new(),
@@ -563,5 +611,31 @@ impl System {
     #[inline]
     pub(super) fn inbound_has(&self, l2: u8, raw: u64, kind: u8) -> bool {
         self.inbound.get(&(l2, raw)).is_some_and(|f| f & kind != 0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use cmpsim_cache::LineAddr;
+    use cmpsim_engine::hash::FxHashSet;
+
+    use super::WbLine;
+
+    #[test]
+    fn wb_line_entries_match_on_the_line_alone() {
+        let line = LineAddr::new(0xFFFF_FFFF_FFFF);
+        let mut set = FxHashSet::default();
+        assert!(set.replace(WbLine::pending(line)).is_none());
+        // Accepting replaces the entry in place: still one entry.
+        assert!(set.contains(&WbLine::accepted(line)));
+        assert!(!set.replace(WbLine::accepted(line)).unwrap().is_accepted());
+        assert_eq!(set.len(), 1);
+        // A new write-back generation clears the accepted mark.
+        assert!(set.replace(WbLine::pending(line)).unwrap().is_accepted());
+        set.replace(WbLine::accepted(line));
+        // A demand miss takes the entry with its flag.
+        assert!(set.take(&WbLine::pending(line)).unwrap().is_accepted());
+        assert!(set.is_empty());
+        assert!(set.take(&WbLine::pending(line)).is_none());
     }
 }

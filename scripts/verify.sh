@@ -26,6 +26,11 @@ echo "==> cargo test --workspace -q"
 # its static layout assertions) run here too.
 cargo test --workspace -q
 
+echo "==> cargo test --release --workspace --lib -q"
+# The unit suites again, in the release profile the published numbers
+# come from: code that differs under debug_assertions is tested as run.
+cargo test --release --workspace --lib -q
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -40,9 +45,11 @@ echo "==> golden traces regenerate cleanly"
 # Telemetry and span traces, the policy matrix (the cmpsim --json
 # --audit report of every mechanism and of the compositions), the
 # cmpsim outputs (each report format and every file the binary writes),
-# the pinned audit metrics and the synthetic reference streams.
+# the pinned audit metrics, the synthetic reference streams and the
+# write-back reuse counters.
 UPDATE_GOLDEN=1 cargo test -q --test telemetry --test spans --test policy_matrix \
-    --test cmpsim_golden --test audit_golden --test synthetic_streams golden >/dev/null
+    --test cmpsim_golden --test audit_golden --test synthetic_streams --test wb_reuse \
+    golden >/dev/null
 if ! git diff --exit-code -- tests/golden >/dev/null; then
     git --no-pager diff --stat -- tests/golden
     echo "verify: FAILED — golden traces drifted from committed files" >&2

@@ -127,16 +127,12 @@ fn parse_args() -> Result<Args, String> {
             "--metrics-out" => args.metrics_out = Some(value()?),
             "--trace-events" => args.trace_events = Some(value()?),
             "--interval-stats" => {
-                args.interval_stats = Some(parse_num::<u64>(&flag, &value()?)?.max(1));
+                args.interval_stats = Some(parse_in(&flag, &value()?, 1..)?);
             }
             "--trace-spans" => args.trace_spans = Some(value()?),
-            "--span-sample" => {
-                args.span_sample = parse_num::<u64>(&flag, &value()?)?.max(1);
-            }
+            "--span-sample" => args.span_sample = parse_in(&flag, &value()?, 1..)?,
             "--profile-host" => args.profile_host = true,
-            "--profile-stride" => {
-                args.profile_stride = parse_num::<u32>(&flag, &value()?)?.max(1);
-            }
+            "--profile-stride" => args.profile_stride = parse_in(&flag, &value()?, 1..)?,
             "--stream-telemetry" => args.stream_telemetry = Some(None),
             "--progress" => args.progress_secs = Some(5.0),
             "--quiet" | "-q" => args.quiet = true,
@@ -224,14 +220,15 @@ OPTIONS:
                            or CSV with --csv); composes with
                            --stream-telemetry on stdout
         --trace-events F   stream typed simulator events to F as JSON lines
-        --interval-stats N snapshot counters every N cycles (see --verbose)
+        --interval-stats N snapshot counters every N cycles, N >= 1 (see
+                           --verbose)
         --trace-spans F    write per-transaction phase spans to F as a
                            Chrome trace-event JSON (open in Perfetto)
-        --span-sample N    trace every Nth transaction span only [1]
+        --span-sample N    trace every Nth transaction span only, N >= 1 [1]
         --profile-host     attribute host wall-clock time per pipeline
                            stage (summary on stderr; merged into
                            --trace-spans as a separate Perfetto track)
-        --profile-stride N time 1 of every N event-loop iterations [128]
+        --profile-stride N time 1 of every N (>= 1) event-loop iterations [128]
         --stream-telemetry[=PATH]
                            stream interval counters + host samples as
                            length-prefixed NDJSON to stdout, or serve

@@ -58,6 +58,32 @@ fn zero_scale_is_rejected_not_run_at_paper_scale() {
 }
 
 #[test]
+fn zero_periods_and_strides_are_rejected_before_any_file_is_opened() {
+    // Each once ran as 1; the span trace it names is never created.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("zero_stride_spans.json");
+    let _ = std::fs::remove_file(&path);
+    for flag in ["--interval-stats", "--span-sample", "--profile-stride"] {
+        assert_rejected(
+            &[flag, "0", "--trace-spans", path.to_str().unwrap(), "-q"],
+            &[&format!("{flag} 0: out of range (1..)")],
+        );
+    }
+    assert!(!path.exists(), "{} was created", path.display());
+}
+
+#[test]
+fn help_gives_the_range_of_every_period_and_stride() {
+    let help = String::from_utf8(cmpsim(&["--help"]).stdout).unwrap();
+    for needle in [
+        "every N cycles, N >= 1",
+        "span only, N >= 1 [1]",
+        "every N (>= 1) event-loop",
+    ] {
+        assert!(help.contains(needle), "{needle:?} not in {help}");
+    }
+}
+
+#[test]
 fn scale_without_a_valid_geometry_is_rejected_not_a_panic() {
     for scale in ["3", "1000", "4096", "65536"] {
         assert_rejected(
