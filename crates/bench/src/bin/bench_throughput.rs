@@ -1,44 +1,37 @@
-//! Pinned-workload throughput benchmark behind `scripts/bench.sh`.
+//! Throughput gates behind `scripts/bench.sh` and `scripts/verify.sh`.
 //!
-//! Runs a fixed suite of simulations and reports, per entry, simulated
-//! cycles per wall-clock second, events per second, and the process
-//! peak RSS. The suite is pinned (workload, policy, refs, scale, seed)
-//! so numbers are comparable across commits on the same machine:
-//!
-//! * `quick_trade2_combined` / `quick_cpw2_baseline` — single
-//!   quick-profile runs (scale 8, 30 k refs/thread).
-//! * `full_trade2_snarf` / `full_cpw2_wbht` — paper-scale runs (scale
-//!   1, 100 k refs/thread): the Figure 5 snarf point and a WBHT point.
-//!   These are the entries whose recorded pre→post ratio must
-//!   demonstrate the packed tag-array win (>= 1.10x).
-//! * `smoke_grid` — 2 workloads x 4 policies at the smoke profile,
-//!   aggregated; watched by the `BENCH_PR10.json` regression gate.
+//! The ledger modes time nothing themselves: they read what perfbench
+//! (the benchmark `BENCHMARK.json` declares) printed, one file per run.
 //!
 //! ```text
-//! bench_throughput --emit [BASE.json]   measure; print JSON (carrying
-//!                                       pre_cycles_per_sec over from BASE)
-//! bench_throughput --check FILE.json    measure; fail (exit 1) when any
-//!                                       entry regresses >20% in
-//!                                       cycles/sec vs FILE's post numbers,
-//!                                       or when a full-scale entry's
-//!                                       recorded pre→post speedup sits
-//!                                       below 1.10x. Entries whose
-//!                                       recorded pre_cycles_per_sec is 0
-//!                                       (unmeasured baseline) skip the
-//!                                       speedup floor with a note instead
-//!                                       of dividing by zero
-//! bench_throughput --overhead-check     measure profiler-on vs -off on a
-//!                                       pinned case; fail (exit 1) when
-//!                                       the default observability stack
-//!                                       costs more than 3% cycles/sec
+//! bench_throughput --record LEDGER OUT...
+//!     append one entry to LEDGER: per workload, the median of each
+//!     metric over its runs in OUT. Fails, recording nothing, when
+//!     sim_cycles or policy_speedup differ between runs of a workload
+//!     or when any run reports a failure
+//! bench_throughput --check LEDGER OUT...
+//!     compare each workload's runs in OUT (their median) with LEDGER's
+//!     last entry for the same host_cores and seconds:
+//!     sim_cycles_per_cpu_s >= 0.80x the entry, wall_s and peak_rss_mb
+//!     <= 1.20x, sim_cycles and policy_speedup equal, correct and no
+//!     failed run. Any violation, or no matching entry, exits 1
+//! bench_throughput --overhead-check
+//!     measure profiler-on vs -off on a pinned case; fail (exit 1) when
+//!     the default observability stack costs more than 3% cycles/sec
 //! bench_throughput --audit-overhead-check
-//!                                       same gate for the decision-audit
-//!                                       layer (--audit): at most 3%
+//!     same gate for the decision-audit layer (--audit): at most 3%
 //! ```
 //!
-//! `CMPSIM_BENCH_NO_GATE=1` turns a `--check` or `--overhead-check`
-//! failure into a warning (escape hatch for busy or slower CI machines).
+//! The ledger (`BENCH.jsonl`) is append-only, one JSON object per line
+//! with flat keys: `schema`, `git_rev`, `host_cores`, `seconds`, then
+//! `<workload>.host_speed` and `<workload>.<metric>` for each of
+//! perfbench's six end-to-end metrics.
+//!
+//! `CMPSIM_BENCH_NO_GATE=1` turns an overhead-gate failure into a
+//! warning (escape hatch for busy machines); the ledger check has none.
 
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::time::Instant;
 
 use cmp_adaptive_wb::{PolicyConfig, System, SystemConfig, UpdateScope};
@@ -58,32 +51,10 @@ struct Case {
     scale: u64,
 }
 
-struct Measurement {
-    id: &'static str,
-    sim_cycles: u64,
-    events: u64,
-    wall_sec: f64,
-    peak_rss_kb: u64,
-}
-
-impl Measurement {
-    fn cycles_per_sec(&self) -> u64 {
-        (self.sim_cycles as f64 / self.wall_sec) as u64
-    }
-
-    fn events_per_sec(&self) -> u64 {
-        (self.events as f64 / self.wall_sec) as u64
-    }
-}
-
 const SEED: u64 = 0x1BAD_B002;
 
 fn config_for(scale: u64, policy: &str) -> SystemConfig {
-    let mut cfg = if scale <= 1 {
-        SystemConfig::paper()
-    } else {
-        SystemConfig::scaled(scale)
-    };
+    let mut cfg = SystemConfig::scaled(scale);
     cfg.seed = SEED;
     let entries = PolicyConfig::scaled_entries(scale);
     cfg.policy = PolicyConfig::parse(policy, entries, UpdateScope::Local, 1)
@@ -100,211 +71,271 @@ fn run_case(c: Case) -> (u64, u64) {
     (stats.cycles, sys.events_processed())
 }
 
-/// Process peak RSS in kB from /proc/self/status (0 when unreadable,
-/// e.g. on non-Linux). Monotonic over the process lifetime, so later
-/// entries report the running maximum.
-fn peak_rss_kb() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
-        .unwrap_or(0)
+const SCHEMA: &str = "cmpsim-bench/2";
+
+/// How the ledger check holds one metric against its entry.
+#[derive(Clone, Copy)]
+enum Bound {
+    /// At least this multiple of the entry.
+    Floor(f64),
+    /// At most this multiple of the entry.
+    Ceiling(f64),
+    /// Exactly the entry: modelled outputs repeat for a fixed seed.
+    Exact,
+    /// Recorded, not checked: too noisy for a bound.
+    Unchecked,
 }
 
-fn measure(id: &'static str, cases: &[Case]) -> Measurement {
-    let t0 = Instant::now();
-    let mut sim_cycles = 0;
-    let mut events = 0;
-    for &c in cases {
-        let (cyc, ev) = run_case(c);
-        sim_cycles += cyc;
-        events += ev;
-    }
-    Measurement {
-        id,
-        sim_cycles,
-        events,
-        wall_sec: t0.elapsed().as_secs_f64(),
-        peak_rss_kb: peak_rss_kb(),
-    }
+/// A ledger entry's values per workload: perfbench's `host_speed`, then
+/// its six end-to-end metrics in print order.
+const METRICS: [(&str, Bound); 7] = [
+    ("host_speed", Bound::Unchecked),
+    ("sim_cycles_per_cpu_s", Bound::Floor(0.80)),
+    ("wall_s", Bound::Ceiling(1.20)),
+    ("peak_rss_mb", Bound::Ceiling(1.20)),
+    ("setup_s", Bound::Unchecked),
+    ("sim_cycles", Bound::Exact),
+    ("policy_speedup", Bound::Exact),
+];
+
+/// One workload's perfbench result: one run's, or per-metric medians
+/// over several runs.
+#[derive(Debug, Clone)]
+struct Run {
+    workload: String,
+    git_rev: String,
+    host_cores: u64,
+    seconds: f64,
+    /// `correct` held in every run.
+    correct: bool,
+    /// Failed runs, summed over the runs.
+    failed: u64,
+    /// Values of [`METRICS`], in order.
+    metrics: [f64; 7],
 }
 
-fn suite() -> Vec<Measurement> {
-    let mut out = vec![
-        measure(
-            "quick_trade2_combined",
-            &[Case {
-                workload: Workload::Trade2,
-                policy: "combined",
-                refs: 30_000,
-                scale: 8,
-            }],
-        ),
-        measure(
-            "quick_cpw2_baseline",
-            &[Case {
-                workload: Workload::Cpw2,
-                policy: "baseline",
-                refs: 30_000,
-                scale: 8,
-            }],
-        ),
-        measure(
-            "full_trade2_snarf",
-            &[Case {
-                workload: Workload::Trade2,
-                policy: "snarf",
-                refs: 100_000,
-                scale: 1,
-            }],
-        ),
-        measure(
-            "full_cpw2_wbht",
-            &[Case {
-                workload: Workload::Cpw2,
-                policy: "wbht",
-                refs: 100_000,
-                scale: 1,
-            }],
-        ),
-    ];
-    let mut grid = Vec::new();
-    for workload in [Workload::Trade2, Workload::Cpw2] {
-        for policy in ["baseline", "wbht", "snarf", "combined"] {
-            grid.push(Case {
-                workload,
-                policy,
-                refs: 2_000,
-                scale: 16,
-            });
-        }
-    }
-    out.push(measure("smoke_grid", &grid));
-    out
+/// The value of ` key=` in perfbench's `#` header lines.
+fn scan_word<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!(" {key}=");
+    let at = text.find(&needle)? + needle.len();
+    text[at..].split_whitespace().next()
 }
 
-/// Pulls `"key": <integer>` values out of our own flat JSON format.
-/// Not a general JSON parser — `BENCH_PR10.json` is machine-written by
-/// `--emit`, one entry object per line.
-fn scan_u64(line: &str, key: &str) -> Option<u64> {
+/// Pulls `"key": <number>` out of a flat, machine-written JSON line (a
+/// ledger entry or perfbench's result line). Not a general JSON parser.
+fn scan_f64(line: &str, key: &str) -> Option<f64> {
     let needle = format!("\"{key}\":");
     let at = line.find(&needle)? + needle.len();
     let rest = line[at..].trim_start();
     let end = rest
-        .find(|c: char| !c.is_ascii_digit())
+        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
 }
 
-fn scan_id(line: &str) -> Option<&str> {
-    let at = line.find("\"id\":")? + 5;
+/// `"key": "<text>"` from a flat JSON line.
+fn scan_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\":");
+    let at = line.find(&needle)? + needle.len();
     let rest = line[at..].trim_start().strip_prefix('"')?;
     rest.split('"').next()
 }
 
-/// Reads `(id, key)` values from a committed benchmark file.
-fn read_field(path: &str, key: &str) -> Vec<(String, u64)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
+/// Reads one perfbench run from its standard output: the `#` header
+/// lines and the JSON result line.
+fn parse_run(text: &str) -> Result<Run, String> {
+    let header =
+        |key: &str| scan_word(text, key).ok_or_else(|| format!("no {key}= in a perfbench output"));
+    let number = |key: &str| -> Result<f64, String> {
+        let raw = header(key)?;
+        raw.parse().map_err(|e| format!("{key}={raw}: {e}"))
     };
-    text.lines()
-        .filter_map(|l| Some((scan_id(l)?.to_string(), scan_u64(l, key)?)))
-        .collect()
-}
-
-fn emit(results: &[Measurement], base: Option<&str>) {
-    let pre: Vec<(String, u64)> = base
-        .map(|p| read_field(p, "pre_cycles_per_sec"))
-        .unwrap_or_default();
-    println!("{{");
-    println!("  \"schema\": \"cmpsim-bench/1\",");
-    println!("  \"generated_by\": \"scripts/bench.sh (bench_throughput --emit)\",");
-    println!("  \"note\": \"pre_cycles_per_sec measured on the pre-PR build, same machine, same pinned cases; post_* from this build\",");
-    println!("  \"entries\": [");
-    for (i, m) in results.iter().enumerate() {
-        let pre_cps = pre.iter().find(|(id, _)| id == m.id).map_or(0, |&(_, v)| v);
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        println!(
-            "    {{\"id\": \"{}\", \"pre_cycles_per_sec\": {}, \"post_cycles_per_sec\": {}, \"post_events_per_sec\": {}, \"post_peak_rss_kb\": {}, \"sim_cycles\": {}, \"events\": {}, \"wall_sec\": {:.3}}}{}",
-            m.id,
-            pre_cps,
-            m.cycles_per_sec(),
-            m.events_per_sec(),
-            m.peak_rss_kb,
-            m.sim_cycles,
-            m.events,
-            m.wall_sec,
-            comma,
-        );
-    }
-    println!("  ]");
-    println!("}}");
-}
-
-/// Entries whose committed pre→post ratio must demonstrate the packed
-/// tag-array win; other entries (quick, smoke) only report it.
-const SPEEDUP_FLOOR_IDS: [&str; 2] = ["full_trade2_snarf", "full_cpw2_wbht"];
-
-fn check(results: &[Measurement], path: &str) -> bool {
-    let committed = read_field(path, "post_cycles_per_sec");
-    let baseline = read_field(path, "pre_cycles_per_sec");
-    if committed.is_empty() {
-        eprintln!("bench: no post_cycles_per_sec entries found in {path}");
-        return false;
-    }
-    let mut ok = true;
-    for m in results {
-        let Some(&(_, want)) = committed.iter().find(|(id, _)| id == m.id) else {
-            eprintln!("bench: {path} has no entry for {}", m.id);
-            ok = false;
-            continue;
+    let result = text
+        .lines()
+        .rfind(|l| l.starts_with("{\"correct\""))
+        .ok_or("no result line in a perfbench output")?;
+    let mut metrics = [0.0; 7];
+    for (value, (name, _)) in metrics.iter_mut().zip(METRICS) {
+        *value = match name {
+            "host_speed" => number(name)?,
+            _ => result
+                .find(&format!("\"{name}\":"))
+                .and_then(|at| scan_f64(&result[at..], "value"))
+                .ok_or_else(|| format!("no {name} in a perfbench result line"))?,
         };
-        let got = m.cycles_per_sec();
-        let floor = want * 8 / 10; // >20% regression fails
-        let verdict = if got >= floor { "ok" } else { "REGRESSED" };
-        eprintln!(
-            "bench: {:<24} {:>10} cycles/sec (committed {:>10}, floor {:>10}) {}",
-            m.id, got, want, floor, verdict
-        );
-        if got < floor {
-            ok = false;
+    }
+    Ok(Run {
+        workload: header("workload")?.to_string(),
+        git_rev: header("git_rev")?.to_string(),
+        host_cores: header("host_cores")?
+            .parse()
+            .map_err(|e| format!("host_cores: {e}"))?,
+        seconds: number("seconds")?,
+        correct: result.starts_with("{\"correct\": true"),
+        failed: scan_f64(result, "failed").ok_or("no failed count in a perfbench result line")?
+            as u64,
+        metrics,
+    })
+}
+
+/// Parses perfbench outputs, which must share one host and run length,
+/// and merges each workload's runs into one [`Run`] of per-metric
+/// medians, in first-seen workload order. A workload's runs must agree
+/// on every modelled output.
+fn summarize(outputs: &[String]) -> Result<Vec<Run>, String> {
+    let runs = outputs
+        .iter()
+        .map(|text| parse_run(text))
+        .collect::<Result<Vec<_>, _>>()?;
+    let first = runs.first().ok_or("no perfbench output")?;
+    if runs
+        .iter()
+        .any(|r| (r.host_cores, r.seconds) != (first.host_cores, first.seconds))
+    {
+        return Err("the perfbench outputs differ in host_cores or seconds".into());
+    }
+    let mut merged: Vec<Run> = Vec::new();
+    for r in &runs {
+        if merged.iter().any(|m| m.workload == r.workload) {
+            continue;
         }
-        // The recorded pre→post speedup, taken from the committed file
-        // (both sides measured on the same host, same pinned cases). A
-        // recorded pre of 0 means the baseline was never measured there,
-        // so the ratio is undefined: skip it with a note rather than
-        // divide by zero or fail spuriously.
-        match baseline.iter().find(|(id, _)| id == m.id) {
-            Some(&(_, 0)) => eprintln!(
-                "bench: {:<24} recorded pre_cycles_per_sec is 0 (unmeasured \
-                 baseline); speedup floor skipped",
-                m.id
-            ),
-            Some(&(_, pre)) => {
-                let speedup = want as f64 / pre as f64;
-                if SPEEDUP_FLOOR_IDS.contains(&m.id) {
-                    let pass = speedup >= 1.10;
-                    let verdict = if pass { "ok" } else { "TOO SLOW" };
-                    eprintln!(
-                        "bench: {:<24} recorded speedup {speedup:.2}x \
-                         (pre {pre}, floor 1.10) {verdict}",
-                        m.id
-                    );
-                    ok &= pass;
-                } else {
-                    eprintln!(
-                        "bench: {:<24} recorded speedup {speedup:.2}x (informational)",
-                        m.id
-                    );
-                }
+        let group: Vec<&Run> = runs.iter().filter(|g| g.workload == r.workload).collect();
+        let mut m = r.clone();
+        for (i, (name, bound)) in METRICS.iter().enumerate() {
+            let mut v: Vec<f64> = group.iter().map(|g| g.metrics[i]).collect();
+            if matches!(bound, Bound::Exact) && v.iter().any(|&x| x != v[0]) {
+                return Err(format!(
+                    "{}: {name} differs between runs: {v:?}",
+                    r.workload
+                ));
             }
-            None => {}
+            v.sort_by(f64::total_cmp);
+            m.metrics[i] = (v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0;
+        }
+        m.correct = group.iter().all(|g| g.correct);
+        m.failed = group.iter().map(|g| g.failed).sum();
+        merged.push(m);
+    }
+    Ok(merged)
+}
+
+/// One ledger line holding every workload's result; a failed run is
+/// never recorded.
+fn entry(runs: &[Run]) -> Result<String, String> {
+    let first = &runs[0];
+    let mut line = format!(
+        "{{\"schema\":\"{SCHEMA}\",\"git_rev\":\"{}\",\"host_cores\":{},\"seconds\":{}",
+        first.git_rev, first.host_cores, first.seconds
+    );
+    for r in runs {
+        if !r.correct || r.failed > 0 {
+            return Err(format!("{}: {} failed run(s)", r.workload, r.failed));
+        }
+        for ((name, _), value) in METRICS.iter().zip(r.metrics) {
+            let _ = write!(line, ",\"{}.{name}\":{value}", r.workload);
         }
     }
-    ok
+    line.push('}');
+    Ok(line)
+}
+
+/// The last ledger entry recorded with `host_cores` and `seconds`.
+fn last_entry(ledger: &str, host_cores: u64, seconds: f64) -> Option<&str> {
+    ledger.lines().rev().find(|l| {
+        scan_str(l, "schema") == Some(SCHEMA)
+            && scan_f64(l, "host_cores") == Some(host_cores as f64)
+            && scan_f64(l, "seconds") == Some(seconds)
+    })
+}
+
+/// Holds each workload's result against the ledger's last entry for
+/// the same host and run length: one line per metric, each with
+/// whether it passed.
+fn check(ledger: &str, runs: &[Run]) -> Result<Vec<(String, bool)>, String> {
+    let (host_cores, seconds) = (runs[0].host_cores, runs[0].seconds);
+    let record = "record one with scripts/bench.sh --record";
+    let entry = last_entry(ledger, host_cores, seconds).ok_or_else(|| {
+        format!("no ledger entry for host_cores={host_cores} seconds={seconds}; {record}")
+    })?;
+    let git_rev = scan_str(entry, "git_rev").unwrap_or("?");
+    let mut lines = vec![(
+        format!("bench: against the entry of git_rev {git_rev}"),
+        true,
+    )];
+    for r in runs {
+        let w = &r.workload;
+        for ((name, bound), got) in METRICS.into_iter().zip(r.metrics) {
+            let want = scan_f64(entry, &format!("{w}.{name}"))
+                .ok_or_else(|| format!("the ledger entry has no {w}.{name}; {record}"))?;
+            let (ok, note) = match bound {
+                Bound::Floor(f) => {
+                    let margin = got / (f * want) - 1.0;
+                    (
+                        margin >= 0.0,
+                        format!("floor {f:.2}x, margin {:+.1}%", margin * 100.0),
+                    )
+                }
+                Bound::Ceiling(c) => {
+                    let margin = 1.0 - got / (c * want);
+                    (
+                        margin >= 0.0,
+                        format!("ceiling {c:.2}x, margin {:+.1}%", margin * 100.0),
+                    )
+                }
+                Bound::Exact => (got == want, "must equal".to_string()),
+                Bound::Unchecked => (true, "not checked".to_string()),
+            };
+            let verdict = match (bound, ok) {
+                (Bound::Unchecked, _) => "",
+                (_, true) => " ok",
+                (_, false) => " REGRESSED",
+            };
+            lines.push((
+                format!("bench: {w:<21} {name:<21} {got:>16.6} (entry {want:.6}, {note}){verdict}"),
+                ok,
+            ));
+        }
+        for (name, got, ok) in [
+            ("correct", r.correct.to_string(), r.correct),
+            ("failed", r.failed.to_string(), r.failed == 0),
+        ] {
+            let verdict = if ok { "ok" } else { "REGRESSED" };
+            lines.push((format!("bench: {w:<21} {name:<21} {got:>16} {verdict}"), ok));
+        }
+    }
+    Ok(lines)
+}
+
+/// `--record` and `--check`: reads the ledger and the perfbench outputs
+/// named in `args`, returning whether the check passed.
+fn ledger_gate(record: bool, args: &[String]) -> Result<bool, String> {
+    let (path, outs) = args
+        .split_first()
+        .filter(|(_, outs)| !outs.is_empty())
+        .ok_or("usage: bench_throughput --record|--check LEDGER OUT...")?;
+    let outputs = outs
+        .iter()
+        .map(|p| std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let runs = summarize(&outputs)?;
+    if record {
+        let line = entry(&runs).map_err(|e| format!("{e}; nothing recorded"))?;
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .and_then(|mut f| writeln!(f, "{line}"))
+            .map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("bench: appended an entry to {path}");
+        return Ok(true);
+    }
+    let ledger = std::fs::read_to_string(path)
+        .map_err(|e| format!("{path}: {e}; record an entry with scripts/bench.sh --record"))?;
+    let lines = check(&ledger, &runs)?;
+    for (line, _) in &lines {
+        eprintln!("{line}");
+    }
+    Ok(lines.iter().all(|&(_, ok)| ok))
 }
 
 /// Runs one case with the full default-cadence observability stack on:
@@ -422,9 +453,20 @@ fn audit_overhead_check() -> bool {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("--emit") => {
-            let results = suite();
-            emit(&results, args.get(1).map(String::as_str));
+        Some(mode @ ("--record" | "--check")) => {
+            match ledger_gate(mode == "--record", &args[1..]) {
+                Ok(true) => {}
+                Ok(false) => {
+                    eprintln!(
+                        "bench: throughput or a modelled output regressed against the ledger"
+                    );
+                    std::process::exit(1);
+                }
+                Err(e) => {
+                    eprintln!("bench: {e}");
+                    std::process::exit(1);
+                }
+            }
         }
         Some("--overhead-check") => {
             if !overhead_check() {
@@ -452,21 +494,136 @@ fn main() {
                 }
             }
         }
-        Some("--check") => {
-            let path = args.get(1).map(String::as_str).unwrap_or("BENCH_PR10.json");
-            let results = suite();
-            if !check(&results, path) {
-                if std::env::var_os("CMPSIM_BENCH_NO_GATE").is_some() {
-                    eprintln!("bench: regression gate bypassed (CMPSIM_BENCH_NO_GATE)");
-                } else {
-                    eprintln!("bench: throughput regressed >20%; investigate, or re-run with CMPSIM_BENCH_NO_GATE=1 / refresh via scripts/bench.sh --update");
-                    std::process::exit(1);
-                }
-            }
-        }
         _ => {
-            let results = suite();
-            emit(&results, None);
+            eprintln!(
+                "usage: bench_throughput --record|--check LEDGER OUT... | --overhead-check \
+                 | --audit-overhead-check"
+            );
+            std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ENTRY_RATE: f64 = 2_000_000.0;
+    const ENTRY_WALL: f64 = 1.5;
+    const ENTRY_CYCLES: u64 = 3_000_000;
+
+    /// A perfbench output in the format it prints, with the policy
+    /// run's timed metrics and modelled outputs given.
+    fn output(host_cores: u64, rate: f64, wall: f64, cycles: u64, failed: u64) -> String {
+        format!(
+            "# perfbench workload=paper_trade2_wbht seed=0x1badb002 seconds=10 trace=0\n\
+             # host_cores={host_cores} cpu_model=\"x\" cpu_clock=\"c\" profiler_clock=tsc git_rev=abc123\n\
+             # timed repetitions=4 samples=48 cyc/cpu-s: median=1 fast_quartile=1\n\
+             # host_speed=0.9500 (reference fast quartile / nominal) raw_wall_s=1.0 raw_setup_s=0.01\n\
+             sim_cycles_per_cpu_s {rate:.6} cyc/s\n\
+             {{\"correct\": {}, \"attempted\": 3, \"failed\": {failed}, \"metrics\": {{\
+             \"sim_cycles_per_cpu_s\": {{\"value\": {rate:?}, \"unit\": \"cyc/s\"}}, \
+             \"wall_s\": {{\"value\": {wall:?}, \"unit\": \"s\"}}, \
+             \"peak_rss_mb\": {{\"value\": 13.8125, \"unit\": \"MB\"}}, \
+             \"setup_s\": {{\"value\": 6.065182953227934e-5, \"unit\": \"s\"}}, \
+             \"sim_cycles\": {{\"value\": {:?}, \"unit\": \"cycles\"}}, \
+             \"policy_speedup\": {{\"value\": 1.1234567890123, \"unit\": \"x\"}}}}}}\n",
+            failed == 0,
+            cycles as f64,
+        )
+    }
+
+    fn ledger() -> String {
+        let run = summarize(&[output(2, ENTRY_RATE, ENTRY_WALL, ENTRY_CYCLES, 0)]).unwrap();
+        format!("{}\n", entry(&run).unwrap())
+    }
+
+    /// The metrics that failed the check of one run against [`ledger`].
+    fn regressed(run: String) -> Result<Vec<String>, String> {
+        let lines = check(&ledger(), &summarize(&[run])?)?;
+        Ok(lines
+            .into_iter()
+            .filter(|(_, ok)| !ok)
+            .map(|(line, _)| line.split_whitespace().nth(2).unwrap().to_string())
+            .collect())
+    }
+
+    #[test]
+    fn a_run_like_the_entry_passes() {
+        let run = output(2, ENTRY_RATE * 0.81, ENTRY_WALL * 1.19, ENTRY_CYCLES, 0);
+        assert_eq!(regressed(run), Ok(vec![]));
+    }
+
+    #[test]
+    fn a_rate_21_percent_below_the_entry_fails() {
+        let run = output(2, ENTRY_RATE * 0.79, ENTRY_WALL, ENTRY_CYCLES, 0);
+        assert_eq!(regressed(run), Ok(vec!["sim_cycles_per_cpu_s".into()]));
+    }
+
+    #[test]
+    fn wall_time_21_percent_above_the_entry_fails() {
+        let run = output(2, ENTRY_RATE, ENTRY_WALL * 1.21, ENTRY_CYCLES, 0);
+        assert_eq!(regressed(run), Ok(vec!["wall_s".into()]));
+    }
+
+    #[test]
+    fn a_sim_cycles_mismatch_fails() {
+        let run = output(2, ENTRY_RATE, ENTRY_WALL, ENTRY_CYCLES + 1, 0);
+        assert_eq!(regressed(run), Ok(vec!["sim_cycles".into()]));
+    }
+
+    #[test]
+    fn a_failed_run_fails_and_is_never_recorded() {
+        let run = output(2, ENTRY_RATE, ENTRY_WALL, ENTRY_CYCLES, 1);
+        assert_eq!(
+            regressed(run.clone()),
+            Ok(vec!["correct".into(), "failed".into()])
+        );
+        assert!(entry(&summarize(&[run]).unwrap()).is_err());
+    }
+
+    #[test]
+    fn no_entry_for_this_host_cores_names_record() {
+        let run = output(4, ENTRY_RATE, ENTRY_WALL, ENTRY_CYCLES, 0);
+        let err = regressed(run).unwrap_err();
+        assert!(
+            err.contains("host_cores=4") && err.contains("--record"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn the_last_matching_entry_is_the_reference() {
+        let older = ledger().replace("\"host_cores\":2", "\"host_cores\":4");
+        let newer = ledger().replace(&format!("{ENTRY_RATE}"), "9000000");
+        let run = summarize(&[output(2, ENTRY_RATE, ENTRY_WALL, ENTRY_CYCLES, 0)]).unwrap();
+        let failed = check(&(ledger() + &newer + &older), &run).unwrap();
+        assert!(failed
+            .iter()
+            .any(|(l, ok)| !ok && l.contains("sim_cycles_per_cpu_s")));
+    }
+
+    #[test]
+    fn an_entry_holds_medians_and_modelled_outputs_must_agree() {
+        let runs: Vec<String> = [1.0, 5.0, 2.0]
+            .map(|r| output(2, r, ENTRY_WALL, ENTRY_CYCLES, 0))
+            .into();
+        let line = entry(&summarize(&runs).unwrap()).unwrap();
+        assert_eq!(
+            scan_f64(&line, "paper_trade2_wbht.sim_cycles_per_cpu_s"),
+            Some(2.0)
+        );
+        assert_eq!(scan_str(&line, "schema"), Some(SCHEMA));
+        assert_eq!(
+            scan_f64(&line, "paper_trade2_wbht.setup_s"),
+            Some(6.065182953227934e-5)
+        );
+        let differ = [
+            output(2, 1.0, ENTRY_WALL, ENTRY_CYCLES, 0),
+            output(2, 1.0, ENTRY_WALL, ENTRY_CYCLES + 1, 0),
+        ];
+        assert!(summarize(&differ)
+            .unwrap_err()
+            .contains("sim_cycles differs"));
     }
 }

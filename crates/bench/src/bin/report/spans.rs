@@ -53,12 +53,8 @@ pub fn run(mut args: Args) -> Result<(), String> {
             other => args.fail(format!("unknown flag {other}")),
         }
     }
-    let mut cfg = if scale == 1 {
-        SystemConfig::paper()
-    } else {
-        SystemConfig::try_scaled(scale)
-            .unwrap_or_else(|e| args.fail(format!("--scale {scale}: invalid geometry: {e}")))
-    };
+    let mut cfg = SystemConfig::try_scaled(scale)
+        .unwrap_or_else(|e| args.fail(format!("--scale {scale}: invalid geometry: {e}")));
     // Tables scale with the caches, as in `cmpsim` without --entries.
     cfg.policy = PolicyConfig::parse(
         &policy,

@@ -70,11 +70,7 @@ impl Profile {
 
     /// Base system configuration at this profile's scale.
     pub fn config(&self) -> SystemConfig {
-        if self.scale_factor == 1 {
-            SystemConfig::paper()
-        } else {
-            SystemConfig::scaled(self.scale_factor)
-        }
+        SystemConfig::scaled(self.scale_factor)
     }
 
     /// A run spec for this profile with the given configuration and

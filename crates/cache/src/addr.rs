@@ -79,12 +79,6 @@ impl LineAddr {
     pub const fn raw(self) -> u64 {
         self.0
     }
-
-    /// The first byte address of this line for a given line size.
-    pub fn base_addr(self, line_bytes: u64) -> Addr {
-        debug_assert!(line_bytes.is_power_of_two());
-        Addr(self.0 << line_bytes.trailing_zeros())
-    }
 }
 
 impl fmt::Display for LineAddr {
@@ -111,13 +105,6 @@ mod tests {
         let b = Addr::new(0x10FF);
         assert_eq!(b.line(128), LineAddr::new(0x21));
         assert_eq!(b.offset(128), 0x7F);
-    }
-
-    #[test]
-    fn base_addr_roundtrip() {
-        let l = LineAddr::new(77);
-        assert_eq!(l.base_addr(128).line(128), l);
-        assert_eq!(l.base_addr(128).raw(), 77 * 128);
     }
 
     #[test]

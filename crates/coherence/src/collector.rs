@@ -38,11 +38,6 @@ impl DataSource {
         matches!(self, DataSource::L2 { .. })
     }
 
-    /// Is this an off-chip access (L3 or memory)?
-    pub fn is_off_chip(self) -> bool {
-        !self.is_intervention()
-    }
-
     /// The telemetry/span fill-source tag for this data source.
     pub fn fill_source(self) -> FillSource {
         match self {
@@ -594,8 +589,8 @@ mod tests {
             dirty: false
         }
         .is_intervention());
-        assert!(DataSource::L3 { dirty: false }.is_off_chip());
-        assert!(DataSource::Memory.is_off_chip());
+        assert!(!DataSource::L3 { dirty: false }.is_intervention());
+        assert!(!DataSource::Memory.is_intervention());
     }
 
     #[test]

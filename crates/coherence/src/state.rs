@@ -60,19 +60,6 @@ impl L2State {
             L2State::Shared => L2State::Shared,
         }
     }
-
-    /// State the *requester* installs after a read-shared fill from the
-    /// given source, where `provider_was_dirty` says whether the data
-    /// came from a dirty owner.
-    pub fn requester_after_read(provider_was_dirty: bool) -> L2State {
-        if provider_was_dirty {
-            // Dirty owner retains ownership (T); we get a clean S copy.
-            L2State::Shared
-        } else {
-            // Clean provider hands over shared-last status.
-            L2State::SharedLast
-        }
-    }
 }
 
 /// Packed encoding for the L2 tag word: 3 bits, discriminant order
@@ -197,12 +184,6 @@ mod tests {
             L2State::SharedLast.after_providing_shared(),
             L2State::Shared
         );
-    }
-
-    #[test]
-    fn requester_transitions() {
-        assert_eq!(L2State::requester_after_read(true), L2State::Shared);
-        assert_eq!(L2State::requester_after_read(false), L2State::SharedLast);
     }
 
     #[test]

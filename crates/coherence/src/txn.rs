@@ -27,12 +27,6 @@ impl TxnKind {
     pub fn is_castout(self) -> bool {
         matches!(self, TxnKind::CastoutDirty | TxnKind::CastoutClean)
     }
-
-    /// Does this transaction move a data line on the data ring (when not
-    /// squashed)?
-    pub fn moves_data(self) -> bool {
-        !matches!(self, TxnKind::Upgrade)
-    }
 }
 
 impl fmt::Display for TxnKind {
@@ -171,11 +165,6 @@ impl TxnState {
         self.attempt += 1;
         self
     }
-
-    /// Is this the first bus attempt?
-    pub fn first_attempt(&self) -> bool {
-        self.attempt == 0
-    }
 }
 
 /// One agent's snoop reply to a [`BusTxn`].
@@ -232,13 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn data_movement() {
-        assert!(TxnKind::ReadShared.moves_data());
-        assert!(TxnKind::CastoutClean.moves_data());
-        assert!(!TxnKind::Upgrade.moves_data());
-    }
-
-    #[test]
     fn snarf_bit() {
         let t = BusTxn::new(
             TxnId::ZERO,
@@ -270,12 +252,10 @@ mod tests {
         );
         let m = TxnState::miss(t);
         assert_eq!(m.path, TxnPath::Miss);
-        assert!(m.first_attempt());
         let c = TxnState::castout(t, true);
         assert_eq!(c.path, TxnPath::Castout { dirty: true });
         let r = c.retried().retried();
         assert_eq!(r.attempt, 2);
-        assert!(!r.first_attempt());
         // The transaction itself (and so span identity) is unchanged.
         assert_eq!(r.txn, c.txn);
     }

@@ -364,6 +364,14 @@ mod tests {
     }
 
     #[test]
+    fn scale_one_is_the_paper_system() {
+        assert_eq!(
+            format!("{:?}", SystemConfig::scaled(1)),
+            format!("{:?}", SystemConfig::paper())
+        );
+    }
+
+    #[test]
     fn scaled_config_is_valid() {
         for f in [2, 4, 8, 16] {
             let c = SystemConfig::scaled(f);

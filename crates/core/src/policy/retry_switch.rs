@@ -63,7 +63,6 @@ pub struct RetrySwitch {
     window_start: Cycle,
     count_this_window: u64,
     engaged: bool,
-    total_retries: u64,
     engaged_windows: u64,
     windows: u64,
     telemetry: Telemetry,
@@ -77,7 +76,6 @@ impl RetrySwitch {
             window_start: 0,
             count_this_window: 0,
             engaged: false,
-            total_retries: 0,
             engaged_windows: 0,
             windows: 0,
             telemetry: Telemetry::disabled(),
@@ -118,18 +116,12 @@ impl RetrySwitch {
     pub fn record_retry(&mut self, now: Cycle) {
         self.roll(now);
         self.count_this_window += 1;
-        self.total_retries += 1;
     }
 
     /// Is the WBHT engaged at time `now`?
     pub fn engaged(&mut self, now: Cycle) -> bool {
         self.roll(now);
         self.engaged
-    }
-
-    /// Total retries observed.
-    pub fn total_retries(&self) -> u64 {
-        self.total_retries
     }
 
     /// (engaged windows, total completed windows).
@@ -202,7 +194,6 @@ mod tests {
             s.record_retry(t);
         }
         let _ = s.engaged(250);
-        assert_eq!(s.total_retries(), 7);
         let (engaged, total) = s.window_counts();
         assert_eq!(total, 2); // windows 0 and 1 completed by t=250
         assert_eq!(engaged, 1);

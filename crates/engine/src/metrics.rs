@@ -74,7 +74,7 @@ fn format_f64(v: f64) -> String {
     format!("{v:.6}")
 }
 
-/// Ordered name → metric map with merge and JSON/CSV export.
+/// Ordered name → metric map with JSON/CSV export.
 ///
 /// Insertion order is preserved: export columns appear in the order the
 /// metrics were first registered.
@@ -129,21 +129,6 @@ impl MetricsRegistry {
         self.upsert(name, Metric::Counter(value));
     }
 
-    /// Adds to a counter, creating it at `by` if absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is registered as a non-counter.
-    pub fn inc_counter(&mut self, name: &str, by: u64) {
-        match self.index.get(name) {
-            Some(&i) => match &mut self.entries[i].1 {
-                Metric::Counter(v) => *v += by,
-                other => panic!("metric {name} is not a counter: {other:?}"),
-            },
-            None => self.set_counter(name, by),
-        }
-    }
-
     /// Sets (or replaces) a gauge.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
         self.upsert(name, Metric::Gauge(value));
@@ -157,34 +142,6 @@ impl MetricsRegistry {
     /// Sets (or replaces) a histogram with a copy of `h`.
     pub fn set_histogram(&mut self, name: &str, h: &Log2Histogram) {
         self.upsert(name, Metric::Histogram(Box::new(h.clone())));
-    }
-
-    /// Merges another registry into this one: counters add, histograms
-    /// merge, gauges and text take the other's value, and names new to
-    /// this registry append in the other's order.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, metric) in other.entries() {
-            match (self.index.get(name).copied(), metric) {
-                (Some(i), Metric::Counter(v)) => {
-                    if let Metric::Counter(mine) = &mut self.entries[i].1 {
-                        *mine += v;
-                        continue;
-                    }
-                    self.entries[i].1 = metric.clone();
-                }
-                (Some(i), Metric::Histogram(h)) => {
-                    if let Metric::Histogram(mine) = &mut self.entries[i].1 {
-                        mine.merge(h);
-                        continue;
-                    }
-                    self.entries[i].1 = metric.clone();
-                }
-                (Some(i), _) => self.entries[i].1 = metric.clone(),
-                (None, _) => {
-                    self.upsert(name, metric.clone());
-                }
-            }
-        }
     }
 
     /// Flattens to `(name, scalar)` rows: counters/gauges/text pass
@@ -270,38 +227,6 @@ mod tests {
         m.set_counter("cycles", 200);
         assert_eq!(m.get("cycles"), Some(&Metric::Counter(200)));
         assert_eq!(m.len(), 4);
-    }
-
-    #[test]
-    fn inc_counter_accumulates_and_creates() {
-        let mut m = MetricsRegistry::new();
-        m.inc_counter("x", 2);
-        m.inc_counter("x", 3);
-        assert_eq!(m.get("x"), Some(&Metric::Counter(5)));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a counter")]
-    fn inc_counter_rejects_gauges() {
-        let mut m = MetricsRegistry::new();
-        m.set_gauge("x", 1.0);
-        m.inc_counter("x", 1);
-    }
-
-    #[test]
-    fn merge_adds_counters_merges_histograms() {
-        let mut a = sample();
-        let mut b = sample();
-        b.set_gauge("rate", 0.75);
-        b.set_counter("extra", 7);
-        a.merge(&b);
-        assert_eq!(a.get("cycles"), Some(&Metric::Counter(200)));
-        assert_eq!(a.get("rate"), Some(&Metric::Gauge(0.75)));
-        assert_eq!(a.get("extra"), Some(&Metric::Counter(7)));
-        match a.get("lat") {
-            Some(Metric::Histogram(h)) => assert_eq!(h.count(), 4),
-            other => panic!("lat should be a histogram, got {other:?}"),
-        }
     }
 
     #[test]

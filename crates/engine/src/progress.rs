@@ -10,6 +10,9 @@ use std::time::Instant;
 
 use crate::Cycle;
 
+/// The shortest reporting period, in seconds.
+pub const MIN_PERIOD_SECS: f64 = 0.1;
+
 /// Emits a heartbeat line to stderr at most once per configured period.
 #[derive(Debug)]
 pub struct ProgressMeter {
@@ -23,11 +26,11 @@ pub struct ProgressMeter {
 
 impl ProgressMeter {
     /// A meter that reports every `every_secs` wall seconds (values
-    /// below 0.1 s are clamped up).
+    /// below [`MIN_PERIOD_SECS`] are clamped up).
     pub fn new(every_secs: f64) -> Self {
         let now = Instant::now();
         ProgressMeter {
-            every_secs: every_secs.max(0.1),
+            every_secs: every_secs.max(MIN_PERIOD_SECS),
             start: now,
             last_beat: now,
             last_cycles: 0,
@@ -158,6 +161,6 @@ mod tests {
     #[test]
     fn period_is_clamped() {
         let m = ProgressMeter::new(0.0);
-        assert!(m.every_secs() >= 0.1);
+        assert!(m.every_secs() >= MIN_PERIOD_SECS);
     }
 }

@@ -1,160 +1,4 @@
-//! Online statistics helpers used throughout the simulator.
-
-/// Running mean / variance accumulator (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use cmpsim_engine::stats::OnlineMean;
-///
-/// let mut m = OnlineMean::new();
-/// for x in [2.0, 4.0, 6.0] { m.add(x); }
-/// assert_eq!(m.mean(), 4.0);
-/// assert_eq!(m.count(), 3);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OnlineMean {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineMean {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one sample.
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Sample count.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of samples so far (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &OnlineMean) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.count += other.count;
-    }
-}
-
-/// A hit/miss style ratio counter.
-///
-/// # Example
-///
-/// ```
-/// use cmpsim_engine::stats::Ratio;
-///
-/// let mut hit_rate = Ratio::new();
-/// hit_rate.hit();
-/// hit_rate.hit();
-/// hit_rate.miss();
-/// assert!((hit_rate.ratio() - 2.0 / 3.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Ratio {
-    hits: u64,
-    misses: u64,
-}
-
-impl Ratio {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a hit (numerator and denominator).
-    pub fn hit(&mut self) {
-        self.hits += 1;
-    }
-
-    /// Records a miss (denominator only).
-    pub fn miss(&mut self) {
-        self.misses += 1;
-    }
-
-    /// Records `hit` as a boolean outcome.
-    pub fn record(&mut self, hit: bool) {
-        if hit {
-            self.hit()
-        } else {
-            self.miss()
-        }
-    }
-
-    /// Numerator.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Denominator minus numerator.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Total events.
-    pub fn total(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Hits over total; 0 when no events were recorded.
-    pub fn ratio(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total() as f64
-        }
-    }
-
-    /// Ratio as a percentage.
-    pub fn percent(&self) -> f64 {
-        self.ratio() * 100.0
-    }
-
-    /// Merges another ratio counter into this one.
-    pub fn merge(&mut self, other: &Ratio) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
-}
+//! Latency statistics: a power-of-two bucketed histogram.
 
 /// Power-of-two bucketed histogram for latency-like values.
 ///
@@ -267,76 +111,6 @@ impl Log2Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_mean_basic() {
-        let mut m = OnlineMean::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            m.add(x);
-        }
-        assert_eq!(m.count(), 4);
-        assert!((m.mean() - 2.5).abs() < 1e-12);
-        assert!((m.variance() - 1.25).abs() < 1e-12);
-        assert!((m.std_dev() - 1.25f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn online_mean_empty() {
-        let m = OnlineMean::new();
-        assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.variance(), 0.0);
-    }
-
-    #[test]
-    fn online_mean_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineMean::new();
-        for &x in &xs {
-            whole.add(x);
-        }
-        let mut a = OnlineMean::new();
-        let mut b = OnlineMean::new();
-        for &x in &xs[..37] {
-            a.add(x);
-        }
-        for &x in &xs[37..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ratio_counts() {
-        let mut r = Ratio::new();
-        r.record(true);
-        r.record(false);
-        r.record(true);
-        r.record(true);
-        assert_eq!(r.hits(), 3);
-        assert_eq!(r.misses(), 1);
-        assert_eq!(r.total(), 4);
-        assert!((r.percent() - 75.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ratio_empty_is_zero() {
-        assert_eq!(Ratio::new().ratio(), 0.0);
-    }
-
-    #[test]
-    fn ratio_merge() {
-        let mut a = Ratio::new();
-        a.hit();
-        let mut b = Ratio::new();
-        b.miss();
-        b.hit();
-        a.merge(&b);
-        assert_eq!(a.total(), 3);
-        assert_eq!(a.hits(), 2);
-    }
 
     #[test]
     fn histogram_buckets() {

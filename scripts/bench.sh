@@ -1,50 +1,62 @@
 #!/usr/bin/env bash
-# Pinned-workload throughput harness around the bench_throughput binary.
+# Throughput gates: perfbench (the benchmark BENCHMARK.json declares)
+# checked against the committed ledger BENCH.jsonl, and the on/off
+# overhead gate of the decision audit.
 #
-#   scripts/bench.sh             measure and print the suite as JSON
-#   scripts/bench.sh --check     regression gate: fail when any entry is
-#                                >20% below the post_cycles_per_sec
-#                                committed in BENCH_PR10.json, or when a
-#                                full-scale entry's recorded pre->post
-#                                speedup is below 1.10x (entries with a
-#                                recorded pre of 0 skip that floor with
-#                                a note — unmeasured baselines)
-#   scripts/bench.sh --update    re-measure and rewrite BENCH_PR10.json,
-#                                keeping the recorded pre-PR baselines
+#   scripts/bench.sh --check     run each perfbench workload once and
+#                                compare it with the last BENCH.jsonl
+#                                entry recorded with the same host_cores
+#                                and seconds: sim_cycles_per_cpu_s must
+#                                be >= 0.80x the entry, wall_s and
+#                                peak_rss_mb <= 1.20x, sim_cycles and
+#                                policy_speedup equal, and no run may
+#                                fail. Any violation, or no matching
+#                                entry, exits 1
+#   scripts/bench.sh --record    run each workload 5 times and append
+#                                one BENCH.jsonl entry of per-metric
+#                                medians (fails, recording nothing, if
+#                                the runs disagree on a modelled output
+#                                or any run fails)
 #   scripts/bench.sh --audit-overhead
 #                                decision-audit overhead gate: fail when
 #                                --audit costs more than 3% cycles/sec
 #
-# The gate compares wall-clock throughput, so it is machine- and
-# load-sensitive: run it on an otherwise idle machine. Set
-# CMPSIM_BENCH_NO_GATE=1 to demote a --check failure to a warning
-# (e.g. on slower CI hosts where the committed numbers don't apply).
+# perfbench corrects for host speed, but a busy host still slows it:
+# run the check on an otherwise idle machine. It has no escape.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+WORKLOADS="paper_trade2_wbht quick_notes_wbht quick_tp_snarf_sweep"
+LEDGER=BENCH.jsonl
 
 cargo build --release -p cmpsim-bench --bin bench_throughput --quiet
 BIN=./target/release/bench_throughput
 
+# Runs every workload $1 times, one process per run (so peak RSS is the
+# run's own), exactly as BENCHMARK.json's command does: no --seconds,
+# no --trace. Leaves one output file per run in $out.
+perfbench_runs() {
+    for w in $WORKLOADS; do
+        for i in $(seq "$1"); do
+            cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+                --workload "$w" > "$out/$w.$i"
+        done
+    done
+}
+
 case "${1:-}" in
-    --check)
-        exec "$BIN" --check BENCH_PR10.json
+    --check | --record)
+        out=$(mktemp -d)
+        trap 'rm -rf "$out"' EXIT
+        if [ "$1" = --check ]; then runs=1; else runs=5; fi
+        perfbench_runs "$runs"
+        "$BIN" "$1" "$LEDGER" "$out"/*
         ;;
     --audit-overhead)
         exec "$BIN" --audit-overhead-check
         ;;
-    --update)
-        tmp=$(mktemp)
-        trap 'rm -f "$tmp"' EXIT
-        "$BIN" --emit BENCH_PR10.json > "$tmp"
-        mv "$tmp" BENCH_PR10.json
-        trap - EXIT
-        echo "bench: BENCH_PR10.json updated (pre_* baselines carried over)" >&2
-        ;;
-    "")
-        exec "$BIN" --emit
-        ;;
     *)
-        echo "usage: scripts/bench.sh [--check|--update|--audit-overhead]" >&2
+        echo "usage: scripts/bench.sh --check|--record|--audit-overhead" >&2
         exit 2
         ;;
 esac

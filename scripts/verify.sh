@@ -80,20 +80,23 @@ echo "==> criterion benches compile"
 cargo bench -p cmpsim-bench --features bench --no-run --quiet
 
 echo "==> throughput regression gate (scripts/bench.sh --check)"
-# Fails when any pinned suite entry falls >20% below the cycles/sec
-# committed in BENCH_PR10.json, or when a full-scale entry's recorded
-# pre->post speedup is under 1.10x. CMPSIM_BENCH_NO_GATE=1 demotes to a
-# warning on machines the committed numbers don't represent.
+# One perfbench run per workload against the last BENCH.jsonl entry with
+# this host's core count: fails when sim_cycles_per_cpu_s falls below
+# 0.80x the entry, wall_s or peak_rss_mb rises above 1.20x, sim_cycles or
+# policy_speedup differs, or a run fails. No escape: with no matching
+# entry, record one with scripts/bench.sh --record.
 ./scripts/bench.sh --check
 
 echo "==> profiler overhead gate (bench_throughput --overhead-check)"
 # The host profiler + telemetry stream at default settings must cost at
-# most 3% cycles/sec. CMPSIM_BENCH_NO_GATE=1 demotes to a warning.
+# most 3% cycles/sec. CMPSIM_BENCH_NO_GATE=1 demotes to a warning; it is
+# the escape of the two overhead gates alone.
 ./target/release/bench_throughput --overhead-check
 
 echo "==> decision-audit overhead gate (scripts/bench.sh --audit-overhead)"
 # The --audit decision-outcome lineage must also cost at most 3%
 # cycles/sec when on (and exactly nothing when off — see the next gate).
+# CMPSIM_BENCH_NO_GATE=1 demotes to a warning, as for the gate above.
 ./scripts/bench.sh --audit-overhead
 
 echo "==> decision-audit consistency gate (report audit --check)"

@@ -25,6 +25,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::ops::RangeBounds;
 use std::process::ExitCode;
+use std::sync::{Arc, Mutex};
 
 use cmp_hierarchies::adaptive::{
     run, PolicyConfig, RunReport, RunSpec, Source, SystemConfig, SystemError, UpdateScope,
@@ -32,6 +33,7 @@ use cmp_hierarchies::adaptive::{
 use cmp_hierarchies::engine::chrome::ChromeTrace;
 use cmp_hierarchies::engine::metrics::{Metric, MetricsRegistry};
 use cmp_hierarchies::engine::profiler::{HostProfiler, DEFAULT_STRIDE};
+use cmp_hierarchies::engine::progress::MIN_PERIOD_SECS;
 use cmp_hierarchies::engine::spans::SpanTracer;
 use cmp_hierarchies::engine::stream::TelemetryStream;
 use cmp_hierarchies::engine::telemetry::{JsonlSink, Telemetry};
@@ -144,11 +146,16 @@ fn parse_args() -> Result<Args, String> {
             other => {
                 if let Some(path) = other.strip_prefix("--stream-telemetry=") {
                     args.stream_telemetry = Some(Some(path.to_string()));
-                } else if let Some(secs) = other.strip_prefix("--progress=") {
-                    args.progress_secs = Some(
-                        secs.parse::<f64>()
-                            .map_err(|e| format!("bad --progress period {secs}: {e}"))?,
-                    );
+                } else if let Some(raw) = other.strip_prefix("--progress=") {
+                    // The meter's own floor: below it the meter would
+                    // clamp silently, and an infinite period never beats.
+                    let secs: f64 = raw.parse().map_err(|e| format!("{other}: {e}"))?;
+                    if !(secs.is_finite() && secs >= MIN_PERIOD_SECS) {
+                        return Err(format!(
+                            "{other}: out of range (finite, >= {MIN_PERIOD_SECS})"
+                        ));
+                    }
+                    args.progress_secs = Some(secs);
                 } else {
                     return Err(format!("unknown flag {other} (try --help)"));
                 }
@@ -234,8 +241,8 @@ OPTIONS:
                            length-prefixed NDJSON to stdout, or serve
                            them on a Unix socket at PATH (attach with
                            report tail; combine stdout mode with -q)
-        --progress[=SECS]  heartbeat to stderr every SECS wall-seconds
-                           (cycles, cycles/sec EMA, ETA) [5]
+        --progress[=SECS]  heartbeat to stderr every SECS wall-seconds,
+                           SECS >= 0.1 (cycles, cycles/sec EMA, ETA) [5]
     -q, --quiet            suppress the human-readable report (also
                            silences --progress and the host summary)
     -v, --verbose          additionally print per-interval counter deltas
@@ -275,12 +282,8 @@ fn write_stdout(print: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> Result<
 
 fn real_main() -> Result<(), String> {
     let args = parse_args()?;
-    let mut cfg = if args.scale == 1 {
-        SystemConfig::paper()
-    } else {
-        SystemConfig::try_scaled(args.scale)
-            .map_err(|e| format!("--scale {}: invalid geometry: {e}", args.scale))?
-    };
+    let mut cfg = SystemConfig::try_scaled(args.scale)
+        .map_err(|e| format!("--scale {}: invalid geometry: {e}", args.scale))?;
     cfg.max_outstanding = args.outstanding;
     cfg.seed = args.seed;
     if let Some(cores) = args.cores {
@@ -324,11 +327,18 @@ fn real_main() -> Result<(), String> {
         None => Source::Synthetic(args.workload.params(cfg.num_threads(), cfg.cache_scale())),
     };
     let mut spec = RunSpec::new(cfg, source, args.refs);
-    if let Some(path) = &args.trace_events {
-        spec.telemetry = Telemetry::new(
-            JsonlSink::create(path).map_err(|e| format!("--trace-events {path}: {e}"))?,
-        );
-    }
+    // The sink keeps its first write error; the handle kept here reads
+    // it back once the run is over.
+    let events = match &args.trace_events {
+        Some(path) => {
+            let sink =
+                JsonlSink::create(path).map_err(|e| format!("--trace-events {path}: {e}"))?;
+            let sink = Arc::new(Mutex::new(sink));
+            spec.telemetry = Telemetry::from_shared(sink.clone());
+            Some((path, sink))
+        }
+        None => None,
+    };
     spec.interval_stats = args.interval_stats;
     if args.trace_spans.is_some() {
         spec.span_tracer = SpanTracer::sampled(args.span_sample);
@@ -348,6 +358,14 @@ fn real_main() -> Result<(), String> {
     spec.audit = args.audit;
 
     let report = run(spec).map_err(|e| e.to_string())?;
+    if let Some((path, sink)) = &events {
+        let sink = sink
+            .lock()
+            .expect("no thread panicked while writing events");
+        if let Some(e) = sink.error() {
+            return Err(format!("--trace-events {path}: {e}"));
+        }
+    }
 
     if let Some(path) = &args.trace_spans {
         let file = std::fs::File::create(path).map_err(|e| format!("--trace-spans {path}: {e}"))?;

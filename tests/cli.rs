@@ -68,6 +68,15 @@ fn zero_periods_and_strides_are_rejected_before_any_file_is_opened() {
             &[&format!("{flag} 0: out of range (1..)")],
         );
     }
+    // Below the meter's 0.1 s floor each was clamped up without a word;
+    // an infinite period never beat.
+    for secs in ["0", "-5", "nan", "0.05", "inf"] {
+        let flag = format!("--progress={secs}");
+        assert_rejected(
+            &[&flag, "--trace-spans", path.to_str().unwrap()],
+            &[&format!("{flag}: out of range")],
+        );
+    }
     assert!(!path.exists(), "{} was created", path.display());
 }
 
@@ -78,6 +87,7 @@ fn help_gives_the_range_of_every_period_and_stride() {
         "every N cycles, N >= 1",
         "span only, N >= 1 [1]",
         "every N (>= 1) event-loop",
+        "SECS >= 0.1",
     ] {
         assert!(help.contains(needle), "{needle:?} not in {help}");
     }
@@ -213,5 +223,24 @@ fn unwritable_trace_events_path_names_the_flag_and_the_path() {
     assert_rejected(
         &["--trace-events", path, "-n", "10", "-q"],
         &["--trace-events", path],
+    );
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn trace_events_write_error_names_the_flag_and_the_path() {
+    // The file opens but every write fails: the sink's sticky error
+    // once went unread and the run exited 0.
+    assert_rejected(
+        &[
+            "--trace-events",
+            "/dev/full",
+            "-n",
+            "200",
+            "--scale",
+            "16",
+            "-q",
+        ],
+        &["--trace-events /dev/full: "],
     );
 }
