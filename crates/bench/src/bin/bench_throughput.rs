@@ -16,60 +16,25 @@
 //!     <= 1.20x, sim_cycles and policy_speedup equal, correct and no
 //!     failed run. Any violation, or no matching entry, exits 1
 //! bench_throughput --overhead-check
-//!     measure profiler-on vs -off on a pinned case; fail (exit 1) when
-//!     the default observability stack costs more than 3% cycles/sec
-//! bench_throughput --audit-overhead-check
-//!     same gate for the decision-audit layer (--audit): at most 3%
+//!     time each instrument stack (the host profiler with its telemetry
+//!     stream, and the decision audit) against a plain twin of one
+//!     pinned case; exit 1 when either costs more than 3% cycles per
+//!     CPU-second or moves a simulated cycle
 //! ```
 //!
 //! The ledger (`BENCH.jsonl`) is append-only, one JSON object per line
 //! with flat keys: `schema`, `git_rev`, `host_cores`, `seconds`, then
 //! `<workload>.host_speed` and `<workload>.<metric>` for each of
-//! perfbench's six end-to-end metrics.
-//!
-//! `CMPSIM_BENCH_NO_GATE=1` turns an overhead-gate failure into a
-//! warning (escape hatch for busy machines); the ledger check has none.
+//! perfbench's six end-to-end metrics. No gate has an escape.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::time::Instant;
 
 use cmp_adaptive_wb::{PolicyConfig, System, SystemConfig, UpdateScope};
 use cmpsim_engine::profiler::HostProfiler;
 use cmpsim_engine::stream::TelemetryStream;
 use cmpsim_engine::telemetry::DEFAULT_INTERVAL;
 use cmpsim_trace::Workload;
-
-/// One pinned simulation: mirrors `cmpsim`'s CLI construction (same
-/// seed, same table-entry scaling) so shell-timed `cmpsim` runs and
-/// this harness measure the same work.
-#[derive(Clone, Copy)]
-struct Case {
-    workload: Workload,
-    policy: &'static str,
-    refs: u64,
-    scale: u64,
-}
-
-const SEED: u64 = 0x1BAD_B002;
-
-fn config_for(scale: u64, policy: &str) -> SystemConfig {
-    let mut cfg = SystemConfig::scaled(scale);
-    cfg.seed = SEED;
-    let entries = PolicyConfig::scaled_entries(scale);
-    cfg.policy = PolicyConfig::parse(policy, entries, UpdateScope::Local, 1)
-        .unwrap_or_else(|e| panic!("pinned case: {e}"));
-    cfg
-}
-
-/// Runs one case, returning (simulated cycles, events dispatched).
-fn run_case(c: Case) -> (u64, u64) {
-    let cfg = config_for(c.scale, c.policy);
-    let params = c.workload.params(cfg.num_threads(), cfg.cache_scale());
-    let mut sys = System::new(cfg, params).expect("pinned case is valid");
-    let stats = sys.run(c.refs);
-    (stats.cycles, sys.events_processed())
-}
 
 const SCHEMA: &str = "cmpsim-bench/2";
 
@@ -119,6 +84,12 @@ fn scan_word<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     let needle = format!(" {key}=");
     let at = text.find(&needle)? + needle.len();
     text[at..].split_whitespace().next()
+}
+
+/// The median of `v`, which must not be empty (sorts it in place).
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    (v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0
 }
 
 /// Pulls `"key": <number>` out of a flat, machine-written JSON line (a
@@ -209,8 +180,7 @@ fn summarize(outputs: &[String]) -> Result<Vec<Run>, String> {
                     r.workload
                 ));
             }
-            v.sort_by(f64::total_cmp);
-            m.metrics[i] = (v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0;
+            m.metrics[i] = median(&mut v);
         }
         m.correct = group.iter().all(|g| g.correct);
         m.failed = group.iter().map(|g| g.failed).sum();
@@ -338,116 +308,193 @@ fn ledger_gate(record: bool, args: &[String]) -> Result<bool, String> {
     Ok(lines.iter().all(|&(_, ok)| ok))
 }
 
-/// Runs one case with the full default-cadence observability stack on:
-/// host profiler at the default stride, telemetry streamed to a sink
-/// writer, and interval sampling at the default period — the exact
-/// configuration `--profile-host --stream-telemetry` enables.
-fn run_case_observed(c: Case) -> (u64, u64) {
-    let cfg = config_for(c.scale, c.policy);
-    let params = c.workload.params(cfg.num_threads(), cfg.cache_scale());
-    let mut sys = System::new(cfg, params).expect("pinned case is valid");
-    sys.set_host_profiler(HostProfiler::enabled());
-    sys.set_stream(TelemetryStream::to_writer(std::io::sink()), 0);
-    sys.enable_interval_sampling(DEFAULT_INTERVAL);
-    let stats = sys.run(c.refs);
-    (stats.cycles, sys.events_processed())
+/// An instrument stack the overhead gate holds to [`FLOOR`]: its name
+/// and how it attaches to a plain system.
+type Stack = (&'static str, fn(&mut System));
+
+/// The two stacks, each exactly as `cmpsim` enables it.
+const STACKS: [Stack; 2] = [
+    // `--profile-host --stream-telemetry`: the profiler at its default
+    // stride, frames streamed to a writer, and interval sampling at the
+    // default period.
+    ("profiler", |sys| {
+        sys.set_host_profiler(HostProfiler::enabled());
+        sys.set_stream(TelemetryStream::to_writer(std::io::sink()), 0);
+        sys.enable_interval_sampling(DEFAULT_INTERVAL);
+    }),
+    // `--audit`: the decision-outcome lineage.
+    ("decision audit", System::enable_decision_audit),
+];
+
+/// The least on/off ratio of cycles per CPU-second a stack may have.
+const FLOOR: f64 = 0.97;
+/// Timed chunk pairs per stack.
+const PAIRS: usize = 200;
+/// Pairs of twins built per stack: both build orders, each both leading
+/// and following, so no one placement of a twin in memory sets the
+/// median.
+const BUILDS: usize = 4;
+/// References per thread that warm both systems before any timing.
+const WARM_REFS: u64 = 5_000;
+/// References per thread in one timed chunk: about 25 ms of CPU on a
+/// 2-vCPU x86_64 host. Every `System::run` closes a partial interval
+/// window (a host sample with an RSS read, stream frames, the audit's
+/// end-of-run pass), so much shorter chunks would bill that per-run
+/// work to the stack.
+const CHUNK_REFS: u64 = 1_000;
+
+/// The pinned case: Trade2 under `combined` at scale 8, with `cmpsim`'s
+/// seed and table-entry scaling.
+fn pinned_system() -> System {
+    let scale = 8;
+    let mut cfg = SystemConfig::scaled(scale);
+    cfg.seed = 0x1BAD_B002;
+    let entries = PolicyConfig::scaled_entries(scale);
+    cfg.policy = PolicyConfig::parse("combined", entries, UpdateScope::Local, 1)
+        .expect("the pinned policy parses");
+    let params = Workload::Trade2.params(cfg.num_threads(), cfg.cache_scale());
+    System::new(cfg, params).expect("the pinned case is valid")
 }
 
-/// Nanoseconds this thread group has spent on-CPU, from
-/// `/proc/self/schedstat`. Unlike wall clocks this excludes scheduler
-/// preemption entirely, which is what makes a small overhead threshold
-/// measurable on busy shared machines. `None` when unavailable
-/// (non-Linux), in which case the gate falls back to wall time.
-fn cpu_now_ns() -> Option<u64> {
-    let text = std::fs::read_to_string("/proc/self/schedstat").ok()?;
-    text.split_whitespace().next()?.parse().ok()
-}
-
-/// Runs one case with the decision-audit layer enabled — the exact
-/// configuration `cmpsim --audit` enables.
-fn run_case_audited(c: Case) -> (u64, u64) {
-    let cfg = config_for(c.scale, c.policy);
-    let params = c.workload.params(cfg.num_threads(), cfg.cache_scale());
-    let mut sys = System::new(cfg, params).expect("pinned case is valid");
-    sys.enable_decision_audit();
-    let stats = sys.run(c.refs);
-    (stats.cycles, sys.events_processed())
-}
-
-/// An on/off overhead gate: interleaves feature-off and feature-on runs
-/// of one pinned case and gates on the median of the per-pair on/off
-/// cycles-per-CPU-second ratios. On-CPU time (see [`cpu_now_ns`]) is
-/// immune to preemption, and adjacent runs share whatever cache
-/// pressure the machine is under, so per-pair ratios stay stable where
-/// absolute best-of wall comparisons flap. Passes while the feature
-/// costs at most 3%.
-fn paired_overhead_gate(what: &str, run_on: &dyn Fn(Case) -> (u64, u64)) -> bool {
-    const PAIRS: usize = 25;
-    let case = Case {
-        workload: Workload::Trade2,
-        policy: "combined",
-        refs: 5_000,
-        scale: 8,
-    };
-    // Warm both paths (caches, branch predictors, TSC calibration) so
-    // neither side of the comparison pays first-run costs.
-    run_case(case);
-    run_on(case);
-    let timed = |run: &dyn Fn() -> (u64, u64)| {
-        let cpu0 = cpu_now_ns();
-        let t = Instant::now();
-        let (cycles, _) = run();
-        let wall_ns = t.elapsed().as_nanos() as u64;
-        let ns = match (cpu0, cpu_now_ns()) {
-            (Some(a), Some(b)) if b > a => b - a,
-            _ => wall_ns,
-        };
-        cycles as f64 / ns as f64
-    };
-    let off_case = || run_case(case);
-    let on_case = || run_on(case);
-    let mut ratios = Vec::with_capacity(PAIRS);
-    let mut best_off = 0.0f64;
-    let mut best_on = 0.0f64;
-    for pair in 0..PAIRS {
-        // Alternate the order within each pair so a monotonic load ramp
-        // cannot bias every pair the same way.
-        let (off, on) = if pair % 2 == 0 {
-            let off = timed(&off_case);
-            let on = timed(&on_case);
-            (off, on)
-        } else {
-            let on = timed(&on_case);
-            let off = timed(&off_case);
-            (off, on)
-        };
-        best_off = best_off.max(off);
-        best_on = best_on.max(on);
-        ratios.push(on / off);
+/// CPU nanoseconds consumed so far by every thread of this process: the
+/// clock perfbench's `host::cpu_s` reads. Time other tenants take shows
+/// up in wall time, not here.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn cpu_ns() -> u64 {
+    /// `struct timespec` on 64-bit Linux.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
     }
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let median = ratios[PAIRS / 2];
-    // Two robust views of the same question; noise bursts can depress
-    // either one, but a real >3% overhead depresses both.
-    let best_ratio = best_on / best_off;
-    let pass = median >= 0.97 || best_ratio >= 0.97;
-    let verdict = if pass { "ok" } else { "TOO SLOW" };
-    eprintln!(
-        "bench: {what} overhead: on/off cycles-per-cpu-second ratio {median:.3} \
-         (median of {PAIRS} interleaved pairs, spread {:.3}..{:.3}), {best_ratio:.3} \
-         (best-vs-best), floor 0.970 on either {verdict}",
-        ratios.first().copied().unwrap_or(0.0),
-        ratios.last().copied().unwrap_or(0.0),
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    extern "C" {
+        fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
+    }
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a live, writable `struct timespec` with the C
+    // layout; clock_gettime writes only into it and the clock id is a
+    // constant every Linux kernel supports.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "CLOCK_PROCESS_CPUTIME_ID is always readable");
+    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
+}
+
+/// Wall nanoseconds since the first call, where perfbench too has no
+/// process CPU clock.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn cpu_ns() -> u64 {
+    use std::sync::OnceLock;
+    static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
+    EPOCH
+        .get_or_init(std::time::Instant::now)
+        .elapsed()
+        .as_nanos() as u64
+}
+
+/// One timed `System::run` chunk.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    /// Simulated cycles the chunk advanced the system by.
+    cycles: u64,
+    /// CPU time it took.
+    cpu_ns: u64,
+}
+
+/// Times one chunk of `sys`.
+fn chunk(sys: &mut System) -> Chunk {
+    let from = sys.stats().cycles;
+    let start = cpu_ns();
+    let to = sys.run(CHUNK_REFS).cycles;
+    Chunk {
+        cycles: to - from,
+        cpu_ns: cpu_ns() - start,
+    }
+}
+
+/// Times [`PAIRS`] pairs of (plain, instrumented) chunks, from
+/// [`BUILDS`] pairs of warmed twins of the pinned case, one twin of each
+/// pair carrying `attach`'s stack.
+fn measure(attach: fn(&mut System)) -> Vec<(Chunk, Chunk)> {
+    let mut pairs = Vec::with_capacity(PAIRS);
+    for build in 0..BUILDS {
+        // Both twins are built before either runs: a twin built after
+        // the other's warm-up runs 1.2-1.8% slower, plain against plain.
+        // Even built together, the twin built first has run up to 5%
+        // faster for a whole process, so odd builds instrument it.
+        let mut twins = [pinned_system(), pinned_system()];
+        if build % 2 == 1 {
+            twins.swap(0, 1);
+        }
+        let [off, on] = &mut twins;
+        attach(on);
+        off.run(WARM_REFS);
+        on.run(WARM_REFS);
+        // The twins take strict turns, so every chunk starts right after
+        // a chunk of the other twin: one that follows its own twin runs
+        // ~3.5% faster. The later builds let the instrumented twin lead.
+        for _ in 0..PAIRS / BUILDS {
+            if build < BUILDS / 2 {
+                let off = chunk(off);
+                pairs.push((off, chunk(on)));
+            } else {
+                let on = chunk(on);
+                pairs.push((chunk(off), on));
+            }
+        }
+    }
+    pairs
+}
+
+/// The gate's verdict on one stack from its timed (plain, instrumented)
+/// pairs: the line to print and whether the stack passed. It fails when
+/// the two chunks of a pair simulated different cycles (the stack moved
+/// the model), and otherwise passes when the median per-pair on/off
+/// ratio of cycles per CPU-second is at least [`FLOOR`].
+fn judge(stack: &str, pairs: &[(Chunk, Chunk)]) -> (String, bool) {
+    for (i, (off, on)) in pairs.iter().enumerate() {
+        if off.cycles != on.cycles {
+            let line = format!(
+                "bench: {stack} overhead: chunk {i} simulated {} cycles plain but {} \
+                 instrumented; the stack moved the model",
+                off.cycles, on.cycles
+            );
+            return (line, false);
+        }
+    }
+    // Both chunks of a pair simulated the same cycles, so their ratio
+    // of cycles per CPU-second is the inverse ratio of their CPU times.
+    let mut ratios: Vec<f64> = pairs
+        .iter()
+        .map(|(off, on)| off.cpu_ns as f64 / on.cpu_ns as f64)
+        .collect();
+    let m = median(&mut ratios);
+    let quartile = |q: usize| ratios[(ratios.len() - 1) * q / 4];
+    let pass = m >= FLOOR;
+    let line = format!(
+        "bench: {stack} overhead: on/off cycles per CPU-second {m:.4} (median of {} \
+         chunk pairs, quartiles {:.3}..{:.3}), floor {FLOOR:.3} {}",
+        pairs.len(),
+        quartile(1),
+        quartile(3),
+        if pass { "ok" } else { "TOO SLOW" },
     );
-    pass
+    (line, pass)
 }
 
+/// `--overhead-check`: judges every stack, printing one verdict each;
+/// true when all passed.
 fn overhead_check() -> bool {
-    paired_overhead_gate("profiler", &run_case_observed)
-}
-
-fn audit_overhead_check() -> bool {
-    paired_overhead_gate("decision audit", &run_case_audited)
+    let mut pass = true;
+    for (stack, attach) in STACKS {
+        let (line, ok) = judge(stack, &measure(attach));
+        eprintln!("{line}");
+        pass &= ok;
+    }
+    pass
 }
 
 fn main() {
@@ -470,35 +517,12 @@ fn main() {
         }
         Some("--overhead-check") => {
             if !overhead_check() {
-                if std::env::var_os("CMPSIM_BENCH_NO_GATE").is_some() {
-                    eprintln!("bench: overhead gate bypassed (CMPSIM_BENCH_NO_GATE)");
-                } else {
-                    eprintln!(
-                        "bench: observability overhead exceeds 3%; investigate, or \
-                         re-run with CMPSIM_BENCH_NO_GATE=1"
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
-        Some("--audit-overhead-check") => {
-            if !audit_overhead_check() {
-                if std::env::var_os("CMPSIM_BENCH_NO_GATE").is_some() {
-                    eprintln!("bench: audit overhead gate bypassed (CMPSIM_BENCH_NO_GATE)");
-                } else {
-                    eprintln!(
-                        "bench: decision-audit overhead exceeds 3%; investigate, or \
-                         re-run with CMPSIM_BENCH_NO_GATE=1"
-                    );
-                    std::process::exit(1);
-                }
+                eprintln!("bench: an instrument stack costs more than 3% or moved the model");
+                std::process::exit(1);
             }
         }
         _ => {
-            eprintln!(
-                "usage: bench_throughput --record|--check LEDGER OUT... | --overhead-check \
-                 | --audit-overhead-check"
-            );
+            eprintln!("usage: bench_throughput --record|--check LEDGER OUT... | --overhead-check");
             std::process::exit(2);
         }
     }
@@ -601,6 +625,54 @@ mod tests {
         assert!(failed
             .iter()
             .any(|(l, ok)| !ok && l.contains("sim_cycles_per_cpu_s")));
+    }
+
+    /// `PAIRS` pairs whose plain chunk took 1 ms and whose instrumented
+    /// chunk ran at `ratio` times its speed, both over 40,000 cycles.
+    fn pairs_at(ratio: f64) -> Vec<(Chunk, Chunk)> {
+        let chunk = |cpu_ns: f64| Chunk {
+            cycles: 40_000,
+            cpu_ns: cpu_ns as u64,
+        };
+        vec![(chunk(1e6), chunk(1e6 / ratio)); PAIRS]
+    }
+
+    #[test]
+    fn a_stack_at_0_975_passes_and_one_at_0_965_fails() {
+        assert!(judge("profiler", &pairs_at(0.975)).1);
+        let (line, pass) = judge("profiler", &pairs_at(0.965));
+        assert!(!pass && line.contains("TOO SLOW"), "{line}");
+    }
+
+    #[test]
+    fn outlier_pairs_do_not_flip_the_verdict() {
+        let (fast, slow) = (pairs_at(2.0)[0], pairs_at(0.5)[0]);
+        let mut pairs = pairs_at(0.98);
+        pairs[..5].fill(fast);
+        pairs[5..10].fill(slow);
+        assert!(judge("profiler", &pairs).1);
+        let mut pairs = pairs_at(0.96);
+        pairs[..10].fill(fast);
+        assert!(!judge("profiler", &pairs).1);
+    }
+
+    #[test]
+    fn unequal_chunk_cycles_fail_naming_the_chunk() {
+        let mut pairs = pairs_at(1.0);
+        pairs[17].1.cycles += 1;
+        let (line, pass) = judge("decision audit", &pairs);
+        assert!(!pass && line.contains("chunk 17"), "{line}");
+    }
+
+    #[test]
+    fn the_verdict_line_names_the_stack() {
+        for stack in STACKS.map(|(name, _)| name) {
+            let (line, _) = judge(stack, &pairs_at(1.0));
+            assert!(
+                line.starts_with(&format!("bench: {stack} overhead:")),
+                "{line}"
+            );
+        }
     }
 
     #[test]

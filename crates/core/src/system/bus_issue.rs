@@ -116,7 +116,6 @@ impl System {
             CombinedResponse::Retry { l3_issued } => {
                 self.spans.mark(sid, SpanPhase::SnoopWindow, t_seen);
                 self.record_retry(t_seen, l3_issued);
-                self.stats.read_retries += 1;
                 self.queue.push(
                     t_seen + self.retry_delay(&txn, attempt),
                     Ev::BusIssue(TxnState {

@@ -56,7 +56,6 @@ impl System {
             });
         } else {
             self.spans.mark(sid, SpanPhase::RetryBackoff, now);
-            self.stats.wb.retried_attempts += 1;
         }
 
         // Address phase: the combined response, the cycle the owner sees

@@ -174,9 +174,6 @@ impl System {
     pub(super) fn finalize_snarf_flags(&mut self, l2_idx: usize, line: LineAddr) {
         if let Some(f) = self.l2s[l2_idx].retire_snarf_flags(line) {
             let used = f.used_locally || f.used_for_intervention;
-            if !used {
-                self.stats.snarf.evicted_unused += 1;
-            }
             if let Some(a) = &mut self.audit {
                 a.resolve_snarf(l2_idx, line.raw(), used);
             }

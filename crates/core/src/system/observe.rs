@@ -226,14 +226,6 @@ impl System {
         &self.stats
     }
 
-    /// Total events dispatched so far (the event queue's lifetime pop
-    /// count). Benchmarks divide this by wall time for events/sec; it is
-    /// deliberately not part of [`SystemStats`] so the serialized
-    /// statistics stay byte-identical across engine changes.
-    pub fn events_processed(&self) -> u64 {
-        self.queue.popped()
-    }
-
     /// The first L3 in the list (for oracle peeks and statistics): the
     /// shared victim cache, or L2 0's partition in the private
     /// organization. [`l3_stats`](Self::l3_stats) aggregates them all.
@@ -326,22 +318,15 @@ impl System {
             .stats
             .event_queue_high_water
             .max(self.queue.high_water() as u64);
-        // Snarfed lines still resident and unused count as unused. The
-        // audit resolves every still-resident placement from the same
-        // flags (useful if ever touched, wasted otherwise).
-        let mut still_unused = 0;
-        for (idx, l2) in self.l2s.iter().enumerate() {
-            for (&raw, f) in &l2.snarfed_lines {
-                let used = f.used_locally || f.used_for_intervention;
-                if !used {
-                    still_unused += 1;
-                }
-                if let Some(a) = &mut self.audit {
-                    a.resolve_snarf(idx, raw, used);
+        // The audit resolves every still-resident snarf placement from
+        // its use flags: useful if ever touched, wasted otherwise.
+        if let Some(a) = &mut self.audit {
+            for (idx, l2) in self.l2s.iter().enumerate() {
+                for (&raw, f) in &l2.snarfed_lines {
+                    a.resolve_snarf(idx, raw, f.used_locally || f.used_for_intervention);
                 }
             }
         }
-        self.stats.snarf.evicted_unused += still_unused;
         if self.audit.is_some() {
             let (engaged, windows) = self.policy.retry_window_counts();
             let now = self.stats.cycles;

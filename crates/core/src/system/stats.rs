@@ -50,8 +50,6 @@ pub struct WbTraffic {
     pub snarfed: u64,
     /// Castouts accepted by the L3.
     pub accepted_l3: u64,
-    /// Castout re-issues after retry responses.
-    pub retried_attempts: u64,
 }
 
 impl WbTraffic {
@@ -113,8 +111,6 @@ pub struct SnarfUsage {
     pub used_locally: u64,
     /// Snarfed lines later provided as interventions to other L2s.
     pub used_for_intervention: u64,
-    /// Snarfed lines evicted or invalidated without any use.
-    pub evicted_unused: u64,
 }
 
 impl SnarfUsage {
@@ -165,8 +161,6 @@ pub struct SystemStats {
     /// invalidations (hybrid update/invalidate coherence; zero under
     /// the base write-invalidate protocol).
     pub coherence_updates: u64,
-    /// Read/upgrade transactions re-issued after retries.
-    pub read_retries: u64,
     /// Total retry combined-responses observed.
     pub retries_total: u64,
     /// Retries attributed to the L3.
@@ -261,7 +255,6 @@ mod tests {
             snarfed: 50,
             used_locally: 10,
             used_for_intervention: 5,
-            evicted_unused: 35,
         };
         assert!((s.local_use_rate() - 0.2).abs() < 1e-12);
         assert!((s.intervention_use_rate() - 0.1).abs() < 1e-12);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Throughput gates: perfbench (the benchmark BENCHMARK.json declares)
-# checked against the committed ledger BENCH.jsonl, and the on/off
-# overhead gate of the decision audit.
+# Throughput gate: perfbench (the benchmark BENCHMARK.json declares)
+# checked against the committed ledger BENCH.jsonl. The instrument
+# overhead gate is `bench_throughput --overhead-check`.
 #
 #   scripts/bench.sh --check     run each perfbench workload once and
 #                                compare it with the last BENCH.jsonl
@@ -17,9 +17,6 @@
 #                                medians (fails, recording nothing, if
 #                                the runs disagree on a modelled output
 #                                or any run fails)
-#   scripts/bench.sh --audit-overhead
-#                                decision-audit overhead gate: fail when
-#                                --audit costs more than 3% cycles/sec
 #
 # perfbench corrects for host speed, but a busy host still slows it:
 # run the check on an otherwise idle machine. It has no escape.
@@ -52,11 +49,8 @@ case "${1:-}" in
         perfbench_runs "$runs"
         "$BIN" "$1" "$LEDGER" "$out"/*
         ;;
-    --audit-overhead)
-        exec "$BIN" --audit-overhead-check
-        ;;
     *)
-        echo "usage: scripts/bench.sh --check|--record|--audit-overhead" >&2
+        echo "usage: scripts/bench.sh --check|--record" >&2
         exit 2
         ;;
 esac

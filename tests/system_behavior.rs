@@ -2,8 +2,8 @@
 //! protocol invariants, and policy effects.
 
 use cmp_hierarchies::adaptive::{
-    run, PolicyConfig, RunSpec, SnarfConfig, System, SystemConfig, SystemError, UpdateScope,
-    WbhtConfig,
+    run, PolicyConfig, RunSpec, SnarfConfig, System, SystemConfig, SystemError, SystemStats,
+    UpdateScope, WbhtConfig,
 };
 use cmp_hierarchies::trace::Workload;
 
@@ -353,4 +353,23 @@ fn combined_policy_exercises_both_tables() {
         "snarf side active"
     );
     assert!(r.snarf_table.is_some());
+}
+
+#[test]
+fn a_run_of_zero_references_leaves_the_statistics_unchanged() {
+    // Statistics accumulate across `System::run` calls; closing a run
+    // must not count anything twice. Only the finish cycle may move.
+    for (workload, policy) in [(Workload::Tp, "snarf"), (Workload::Trade2, "combined")] {
+        let mut cfg = SystemConfig::scaled(8);
+        let entries = PolicyConfig::scaled_entries(8);
+        cfg.policy = PolicyConfig::parse(policy, entries, UpdateScope::Local, 1).unwrap();
+        let params = workload.params(cfg.num_threads(), cfg.cache_scale());
+        let mut sys = System::new(cfg, params).unwrap();
+        let without_cycles = |mut s: SystemStats| {
+            s.cycles = 0;
+            format!("{s:?}")
+        };
+        let first = without_cycles(sys.run(3_000));
+        assert_eq!(without_cycles(sys.run(0)), first, "{workload}/{policy}");
+    }
 }
